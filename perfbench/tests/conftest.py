@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+# the benchmark package and the repro sources, wherever pytest is run from
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
