@@ -4,7 +4,7 @@
 Times the workloads the performance work targets -- corpus synthesis,
 the discrete-event simulate sweep, cold/warm ``run_all`` through the
 artifact engine, multi-seed ensemble throughput, the columnar
-fleet engine (10k-server trace replay, both backends, plus a placement
+fleet engine (10k-server trace replay, columnar vs scalar, plus a placement
 sweep), the sharded out-of-core tier (a million-server replay, run in
 a subprocess so its peak RSS is attributable), the incremental
 ``repro checks`` self-scan (cold vs fully-warm), the serve
@@ -186,30 +186,31 @@ def bench_fleet_replay(n_servers: int, steps: int, scalar_steps: int):
     linearly, which flatters the scalar side if anything (it skips
     most of the trace's high-demand steps).
     """
-    from repro.cluster.trace import DemandTrace, diurnal_trace, replay_trace
+    from repro.cluster.batch_trace import BatchTraceReplay
+    from repro.cluster.trace import DemandTrace, _replay_scalar, diurnal_trace
 
     fleet = _tiled_fleet(n_servers)
     trace = diurnal_trace(steps_per_day=steps, noise=0.0)
     started = time.perf_counter()
-    replay_trace(fleet, trace, policy="ep-aware", fleet_backend="columnar")
+    BatchTraceReplay(fleet).replay(trace, "ep-aware")
     columnar = time.perf_counter() - started
     truncated = DemandTrace(
         times_h=trace.times_h[:scalar_steps],
         demand_fraction=trace.demand_fraction[:scalar_steps],
     )
     started = time.perf_counter()
-    replay_trace(fleet, truncated, policy="ep-aware", fleet_backend="scalar")
+    _replay_scalar(fleet, truncated, "ep-aware")
     scalar = (time.perf_counter() - started) * (steps / scalar_steps)
     return columnar, scalar
 
 
 #: The subprocess body for the mega-fleet bench: build the lazy tiled
-#: view, resolve the sharded replayer (spilling the columns out of
+#: view, build the sharded replayer (spilling the columns out of
 #: core), replay the trace, and report wall time + exact peak RSS.
 _MEGA_BENCH_SCRIPT = """\
 import json, resource, sys, time
-from repro.cluster.batch_trace import resolve_trace_backend
 from repro.cluster.fleet_arrays import tile_fleet
+from repro.cluster.sharded import ShardedTraceReplay
 from repro.cluster.trace import diurnal_trace
 from repro.dataset.synthesis import generate_corpus
 
@@ -218,7 +219,7 @@ corpus = generate_corpus(2016)
 fleet = tile_fleet(corpus.by_hw_year(2016).results(), n_servers)
 trace = diurnal_trace(steps_per_day=steps, noise=0.0)
 started = time.perf_counter()
-replayer = resolve_trace_backend(fleet, "sharded")
+replayer = ShardedTraceReplay(fleet)
 outcome = replayer.replay(trace, "ep-aware")
 elapsed = time.perf_counter() - started
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -8,9 +8,9 @@ then asserts the tier's two load-bearing contracts:
   idle and power-off accounting, a demand sweep, the power-cap search)
   and a windowed trace replay equal the columnar engine's reductions
   float for float, int for int;
-* **auto routing** -- ``fleet_backend="auto"`` sends a view this large
-  to the sharded engine, and the lazy view itself stays O(base)
-  (no million-clone materialization on the sharded side).
+* **routing** -- ``fleet_engine`` sends a view this large to the
+  sharded engine, and the lazy view itself stays O(base) (no
+  million-clone materialization on the sharded side).
 
 Exits non-zero on any divergence.  Usage::
 
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.cluster.batch_placement import BatchPlacementEngine, resolve_backend
+from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.batch_trace import BatchTraceReplay
+from repro.cluster.engines import fleet_engine
 from repro.cluster.fleet_arrays import tile_fleet
 from repro.cluster.sharded import ShardedFleetEngine, ShardedTraceReplay
 from repro.cluster.trace import diurnal_trace
@@ -43,6 +44,7 @@ def summary_key(outcome):
         outcome.total_power_w,
         type(outcome.total_power_w).__name__,
         outcome.unused_idle_power_w,
+        type(outcome.unused_idle_power_w).__name__,
         outcome.servers_used,
         outcome.fleet_efficiency,
         outcome.satisfied(),
@@ -57,10 +59,10 @@ def main(argv) -> int:
     corpus = generate_corpus(2016)
     view = tile_fleet(corpus.by_hw_year(2016).results(), n_servers)
 
-    routed = resolve_backend(view, "auto")
+    routed = fleet_engine(view)
     if not isinstance(routed, ShardedFleetEngine):
         failures.append(
-            f"auto routing sent a {n_servers}-server view to "
+            f"fleet_engine sent a {n_servers}-server view to "
             f"{type(routed).__name__}, expected ShardedFleetEngine"
         )
         routed = ShardedFleetEngine(view)

@@ -9,10 +9,10 @@ routes through one dispatch table keyed by frozen request dataclasses:
 >>> result.payload["unserved_steps"]
 0
 
-Requests carry explicit ``seed``, ``fleet_backend`` and ``format``
-fields; results carry the structured payload, the terminal text
-rendering, and a provenance block (fingerprint, spec key, engine
-version, concrete serving backend, cache hit, wall time).
+Requests carry explicit ``seed`` and ``format`` fields; results carry
+the structured payload, the terminal text rendering, and a provenance
+block (fingerprint, spec key, engine version, the fleet engine that
+served the query, cache hit, wall time).
 """
 
 from repro.api.dispatch import (
@@ -29,7 +29,6 @@ from repro.api.requests import (
     CdfQuery,
     EnsembleQuery,
     FAMILIES,
-    FLEET_BACKENDS,
     FLEET_FAMILIES,
     FORMATS,
     GenerateQuery,
@@ -60,7 +59,6 @@ __all__ = [
     "DISPATCH",
     "EnsembleQuery",
     "FAMILIES",
-    "FLEET_BACKENDS",
     "FLEET_FAMILIES",
     "FORMATS",
     "GenerateQuery",

@@ -1,12 +1,11 @@
 """One dispatch table for every query path (CLI, Study, daemon).
 
-:func:`execute` is the single entry point: it resolves the concrete
-fleet backend *before* hashing (the cache-key audit: ``"auto"`` never
-leaks into identity, and provenance records which engine actually
-served the query), probes the content-addressed artifact cache under
-the same fingerprint+spec key the executor uses, routes the request to
-its family handler, and wraps the answer in a
-:class:`~repro.api.result.QueryResult` envelope.
+:func:`execute` is the single entry point: it looks up the fleet
+engine a fleet-family request will run on (provenance records which
+one served the query; the choice never reaches the spec key), probes
+the content-addressed artifact cache under the same fingerprint+spec
+key the executor uses, routes the request to its family handler, and
+wraps the answer in a :class:`~repro.api.result.QueryResult` envelope.
 
 :class:`QueryContext` is the warm state a long-lived process (the
 :mod:`repro.serve` daemon, a REPL session) shares across queries:
@@ -108,10 +107,10 @@ class QueryContext:
         self._lock = threading.RLock()
         self._corpora: Dict[int, Any] = {}
         self._slices: Dict[Tuple[int, Optional[int], Optional[int]], Any] = {}
-        self._studies: Dict[Tuple[int, str], Any] = {}
+        self._studies: Dict[int, Any] = {}
         self._fleets: Dict[Tuple[int, int, int, Optional[int]], List[Any]] = {}
-        self._engines: Dict[Tuple[Tuple[int, int, int, Optional[int]], str], Any] = {}
-        self._replayers: Dict[int, Any] = {}
+        self._engines: Dict[Tuple[int, int, int, Optional[int]], Any] = {}
+        self._replayers: Dict[Tuple[int, int, int, Optional[int]], Any] = {}
         self._traces: Dict[int, Any] = {}
         self._sweeps: Dict[int, Any] = {}
 
@@ -142,25 +141,19 @@ class QueryContext:
 
     def study(self, request: QueryRequest) -> Any:
         """A :class:`Study` over the request's corpus (memoized)."""
-        key = (request.seed, request.fleet_backend)
+        seed = request.seed
         with self._lock:
-            if key not in self._studies:
+            if seed not in self._studies:
                 from repro.core.study import Study
 
-                self._studies[key] = Study(
-                    corpus=self.corpus(request.seed),
-                    seed=request.seed,
-                    fleet_backend=request.fleet_backend,
-                )
-            return self._studies[key]
+                self._studies[seed] = Study(corpus=self.corpus(seed), seed=seed)
+            return self._studies[seed]
 
     def adopt_study(self, study: Any) -> None:
         """Register an existing study (and its corpus) in the memos."""
         with self._lock:
             self._corpora.setdefault(study.seed, study.corpus)
-            self._studies.setdefault(
-                (study.seed, study.fleet_backend), study
-            )
+            self._studies.setdefault(study.seed, study)
 
     # -- fleet machinery ---------------------------------------------------------
 
@@ -194,66 +187,30 @@ class QueryContext:
             return self._fleets[key]
 
     def engine(self, request: QueryRequest) -> Optional[Any]:
-        """The columnar engine for the request's fleet, or ``None``.
+        """The engine for the request's fleet, or ``None`` for scalar.
 
-        Resolution happens here -- once per (cohort, backend) -- so
-        every execution path agrees on the concrete backend and the
-        engine construction is shared across a batch group.
+        Looked up once per cohort through
+        :func:`repro.cluster.engines.fleet_engine`, so every execution
+        path agrees on the engine and its construction is shared
+        across a batch group.
         """
-        key = (self.fleet_key(request), request.fleet_backend)
+        key = self.fleet_key(request)
         with self._lock:
             if key not in self._engines:
-                from repro.cluster.batch_placement import resolve_backend
+                from repro.cluster.engines import fleet_engine
 
-                self._engines[key] = resolve_backend(
-                    self.fleet(request), request.fleet_backend
-                )
+                self._engines[key] = fleet_engine(self.fleet(request))
             return self._engines[key]
 
-    def replayer(self, engine: Any) -> Any:
-        """The trace replayer over ``engine`` (memoized).
-
-        Sharded engines replay through the windowed
-        :class:`~repro.cluster.sharded.ShardedTraceReplay`; columnar
-        ones through :class:`~repro.cluster.batch_trace.BatchTraceReplay`.
-        """
+    def replayer(self, request: QueryRequest) -> Optional[Any]:
+        """The trace replayer over :meth:`engine`, or ``None`` (memoized)."""
+        key = self.fleet_key(request)
         with self._lock:
-            key = id(engine)
             if key not in self._replayers:
-                from repro.cluster.batch_trace import BatchTraceReplay
-                from repro.cluster.sharded import (
-                    ShardedFleetEngine,
-                    ShardedTraceReplay,
-                )
+                from repro.cluster.engines import trace_replayer
 
-                if isinstance(engine, ShardedFleetEngine):
-                    self._replayers[key] = ShardedTraceReplay(engine)
-                else:
-                    self._replayers[key] = BatchTraceReplay(engine)
+                self._replayers[key] = trace_replayer(self.engine(request))
             return self._replayers[key]
-
-    def resolved_backend(self, request: QueryRequest) -> str:
-        """The concrete backend that will serve this request.
-
-        Fleet families resolve ``"auto"`` to
-        ``"scalar"``/``"columnar"``/``"sharded"`` through the real
-        resolver *before* any hashing or computation; artifact queries
-        report the study's configured backend mode (they may touch
-        several internal fleets); other families have no fleet and
-        report ``"-"``.
-        """
-        if type(request).family in FLEET_FAMILIES:
-            engine = self.engine(request)
-            if engine is None:
-                return "scalar"
-            from repro.cluster.sharded import ShardedFleetEngine
-
-            if isinstance(engine, ShardedFleetEngine):
-                return "sharded"
-            return "columnar"
-        if isinstance(request, ArtifactQuery):
-            return request.fleet_backend
-        return "-"
 
     def trace(self, steps: int) -> Any:
         """The deterministic diurnal trace with ``steps`` steps."""
@@ -284,10 +241,10 @@ def execute(
 ) -> QueryResult:
     """Answer one request through the dispatch table.
 
-    Order matters: the concrete backend is resolved first (so
-    ``fleet_backend="auto"`` can never reach the hashing step), then
-    the spec key is derived and the disk cache probed, and only on a
-    miss does the family handler run.  Cacheable non-artifact results
+    Order matters: a fleet family's engine is looked up first (so
+    provenance names it even on a cache hit), then the spec key is
+    derived and the disk cache probed, and only on a miss does the
+    family handler run.  Cacheable non-artifact results
     are persisted as pickled :class:`QueryResult` envelopes; artifact
     results are persisted as plain ``FigureResult`` objects so they
     share entries with ``Study.run_all`` warm caches.
@@ -300,7 +257,11 @@ def execute(
             f"no handler registered for {type(request).__name__}"
         )
     started = time.perf_counter()
-    backend = context.resolved_backend(request)
+    backend = "-"
+    if type(request).family in FLEET_FAMILIES:
+        from repro.cluster.engines import engine_name
+
+        backend = engine_name(context.engine(request))
     fingerprint = (
         context.corpus(request.seed).fingerprint()
         if type(request).needs_corpus
@@ -547,10 +508,7 @@ def _outcome_payload(outcome) -> Dict[str, Any]:
 @handler(PlacementQuery)
 def _handle_placement(request: PlacementQuery, context: QueryContext) -> Built:
     """One placement what-if at a fractional demand level."""
-    from repro.cluster.placement import (
-        ep_aware_placement,
-        pack_to_full_placement,
-    )
+    from repro.cluster.placement import _POLICIES
 
     fleet = context.fleet(request)
     demand = request.demand_fraction * _fleet_capacity(fleet)
@@ -561,16 +519,8 @@ def _handle_placement(request: PlacementQuery, context: QueryContext) -> Built:
         else:
             outcome = engine.pack_to_full(demand, request.power_off_unused)
     else:
-        place = (
-            ep_aware_placement
-            if request.policy == "ep-aware"
-            else pack_to_full_placement
-        )
-        outcome = place(
-            fleet,
-            demand,
-            power_off_unused=request.power_off_unused,
-            fleet_backend="scalar",
+        outcome = _POLICIES[request.policy](
+            fleet, demand, request.power_off_unused
         )
     payload = _outcome_payload(outcome)
     payload.update(
@@ -591,7 +541,7 @@ def _handle_placement(request: PlacementQuery, context: QueryContext) -> Built:
 @handler(CapQuery)
 def _handle_cap(request: CapQuery, context: QueryContext) -> Built:
     """Maximum throughput under a fixed power budget."""
-    from repro.cluster.placement import max_throughput_under_cap
+    from repro.cluster.placement import _max_throughput_under_cap_scalar
 
     fleet = context.fleet(request)
     engine = context.engine(request)
@@ -600,12 +550,11 @@ def _handle_cap(request: CapQuery, context: QueryContext) -> Built:
             request.power_cap_w, request.policy, request.power_off_unused
         )
     else:
-        outcome = max_throughput_under_cap(
+        outcome = _max_throughput_under_cap_scalar(
             fleet,
             request.power_cap_w,
-            policy=request.policy,
-            power_off_unused=request.power_off_unused,
-            fleet_backend="scalar",
+            request.policy,
+            request.power_off_unused,
         )
     payload = _outcome_payload(outcome)
     payload.update(
@@ -622,22 +571,20 @@ def _handle_cap(request: CapQuery, context: QueryContext) -> Built:
 @handler(ReplayQuery)
 def _handle_replay(request: ReplayQuery, context: QueryContext) -> Built:
     """Replay a diurnal day over the tiled cohort."""
-    from repro.cluster.trace import replay_trace
+    from repro.cluster.trace import _replay_scalar
 
-    fleet = context.fleet(request)
     trace = context.trace(request.steps)
-    engine = context.engine(request)
-    if engine is not None:
-        outcome = context.replayer(engine).replay(
+    replayer = context.replayer(request)
+    if replayer is not None:
+        outcome = replayer.replay(
             trace, request.policy, request.power_off_unused
         )
     else:
-        outcome = replay_trace(
-            fleet,
+        outcome = _replay_scalar(
+            context.fleet(request),
             trace,
-            policy=request.policy,
-            power_off_unused=request.power_off_unused,
-            fleet_backend="scalar",
+            request.policy,
+            request.power_off_unused,
         )
     payload = {
         "servers": request.servers,
@@ -651,7 +598,7 @@ def _handle_replay(request: ReplayQuery, context: QueryContext) -> Built:
     }
     text = (
         f"{request.servers} servers x {request.steps} steps, "
-        f"{request.policy}, backend={request.fleet_backend}\n"
+        f"{request.policy}\n"
         f"energy {outcome.energy_kwh:.1f} kWh/day, "
         f"served {outcome.served_gops:.1f} Gops, "
         f"{outcome.unserved_steps} unserved step(s)"

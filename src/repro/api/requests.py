@@ -4,16 +4,15 @@ Every way of asking this repo a question -- a CLI subcommand, a
 :meth:`repro.core.study.Study.query` call, an HTTP ``POST /query`` to
 the :mod:`repro.serve` daemon -- builds one of these requests and
 hands it to :func:`repro.api.dispatch.execute`.  A request is a frozen
-dataclass with explicit ``seed`` / ``fleet_backend`` / ``format``
-fields, validated at construction, so there is exactly one place where
-argument plumbing and defaulting happen.
+dataclass with explicit ``seed`` / ``format`` fields, validated at
+construction, so there is exactly one place where argument plumbing
+and defaulting happen.  No request names a fleet engine: the cluster
+layer picks one per fleet, and provenance reports which one ran.
 
 Identity: :func:`canonical_spec` renders the request as canonical JSON
-*excluding* ``format`` (a rendering preference) and ``fleet_backend``
-(the scalar, columnar, and sharded engines are bit-identical per the
-REP4xx parity contract, so the backend is provenance, not identity).  The
-spec hash derived from it keys the artifact cache, the daemon's
-coalescing map, and its response memo.
+*excluding* ``format`` (a rendering preference).  The spec hash
+derived from it keys the artifact cache, the daemon's coalescing map,
+and its response memo.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
-
-#: Accepted ``fleet_backend`` values (mirrors the cluster resolvers).
-FLEET_BACKENDS = ("auto", "scalar", "columnar", "sharded")
 
 #: Accepted ``format`` values (CLI rendering preference).
 FORMATS = ("text", "json")
@@ -56,15 +52,9 @@ class QueryRequest:
     needs_corpus: ClassVar[bool] = True
 
     seed: int = 2016
-    fleet_backend: str = "auto"
     format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.fleet_backend not in FLEET_BACKENDS:
-            raise ValueError(
-                f"unknown fleet_backend {self.fleet_backend!r}; "
-                f"choose from {list(FLEET_BACKENDS)}"
-            )
         if self.format not in FORMATS:
             raise ValueError(
                 f"unknown format {self.format!r}; choose from {list(FORMATS)}"
@@ -75,16 +65,11 @@ class QueryRequest:
         """Family-specific field validation; raises ``ValueError``."""
 
     def spec_fields(self) -> Dict[str, Any]:
-        """The identity-bearing fields, for :func:`canonical_spec`.
-
-        Excludes ``format`` (rendering only) and ``fleet_backend``
-        (all backends are bit-identical; which one served the query is
-        recorded in provenance instead).
-        """
+        """The identity-bearing fields (all but ``format``)."""
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("format", "fleet_backend")
+            if f.name != "format"
         }
 
     def to_dict(self) -> Dict[str, Any]:

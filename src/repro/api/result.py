@@ -5,8 +5,8 @@ Every query family returns a :class:`QueryResult` -- the structured
 rendering (byte-identical to the pre-redesign CLI output where tests
 pin it), a process ``exit_code``, and a :class:`Provenance` block
 recording exactly how the answer was produced: corpus fingerprint,
-spec key, engine/API versions, the *concrete* fleet backend that
-served it, whether the disk cache hit, and the wall time.
+spec key, engine/API versions, the fleet engine that served it,
+whether the disk cache hit, and the wall time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Dict
 from repro.api.serialize import jsonify
 
 #: Version of the query API envelope.
-API_VERSION = "1"
+API_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class Provenance:
     spec_key: str
     engine_version: str
     api_version: str = API_VERSION
+    #: The fleet engine that ran: ``scalar``, ``columnar`` or
+    #: ``sharded`` for the fleet families, ``-`` for every other family.
     fleet_backend: str = "-"
     cache_hit: bool = False
     wall_time_ms: float = 0.0

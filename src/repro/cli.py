@@ -16,8 +16,8 @@ Commands:
 * ``ensemble --seeds N --jobs J`` -- recompute the headline statistics
   over N seeded corpora and print mean/CI summaries;
 * ``fleet-replay --servers N --steps S`` -- replay a diurnal day over
-  a tiled N-server fleet through the columnar, sharded out-of-core
-  (million-server), or scalar engine;
+  a tiled N-server fleet; the engine (scalar, columnar, or sharded
+  out-of-core for million-server fleets) follows the fleet size;
 * ``query <spec.json|{...}>`` -- execute any :mod:`repro.api` request
   given as JSON (inline or ``@file``) and print the result envelope;
 * ``serve --port P`` -- run the async query daemon
@@ -223,12 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="placement policy to replay (default ep-aware)",
     )
     fleet_replay.add_argument(
-        "--backend",
-        choices=("auto", "scalar", "columnar", "sharded"),
-        default="auto",
-        help="fleet engine to use (default auto)",
-    )
-    fleet_replay.add_argument(
         "--power-off-unused",
         action="store_true",
         help="power unused servers off instead of idling them",
@@ -383,7 +377,6 @@ def _cmd_fleet_replay(args, context: QueryContext, out) -> int:
             servers=args.servers,
             steps=args.steps,
             policy=args.policy,
-            fleet_backend=args.backend,
             power_off_unused=args.power_off_unused,
         ),
         context,

@@ -19,16 +19,19 @@ to 100%.
   fleet view behind the vectorized fast paths;
 * :mod:`repro.cluster.batch_placement` /
   :mod:`repro.cluster.batch_trace` -- bit-identical columnar engines
-  for placement, job scheduling, and trace replay, selected via the
-  ``fleet_backend`` switch on the public entry points;
+  for placement, job scheduling, and trace replay;
 * :mod:`repro.cluster.sharded` -- the sharded, shared-memory,
-  out-of-core tier (``fleet_backend="sharded"``): million-server
-  fleets streamed shard by shard, replayed window by window, still
-  bit-identical to the columnar engine.
+  out-of-core tier: million-server fleets streamed shard by shard,
+  replayed window by window, still bit-identical to the columnar
+  engine;
+* :mod:`repro.cluster.engines` -- :func:`fleet_engine`, the one place
+  that picks scalar loops, columnar, or sharded for a fleet, by its
+  shape and size alone (there is no user-facing switch).
 """
 
 from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.batch_trace import BatchTraceReplay
+from repro.cluster.engines import fleet_engine
 from repro.cluster.fleet_arrays import FleetArrays, TiledFleetView, tile_fleet
 from repro.cluster.sharded import (
     ShardedFleetEngine,
@@ -67,6 +70,7 @@ __all__ = [
     "compare_policies",
     "daily_saving",
     "diurnal_trace",
+    "fleet_engine",
     "replay_trace",
     "build_logical_clusters",
     "cluster_power_curve",

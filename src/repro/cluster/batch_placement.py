@@ -16,68 +16,18 @@ over pre-extracted lists, because their running-remainder accumulation
 order is part of the bit-identity contract (``np.cumsum``'s pairwise
 summation would drift in the last ulp).
 
-``resolve_backend`` implements the ``fleet_backend`` switch shared by
-the public entry points: ``"scalar"`` forces the originals,
-``"columnar"`` forces this engine (raising where the fleet cannot be
-columnized), and ``"auto"`` picks the engine for fleets large enough
-to amortize construction, falling back to scalar for small or
-non-uniform fleets.
+Which fleets reach this engine is decided in one place,
+:func:`repro.cluster.engines.fleet_engine`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.fleet_arrays import FleetArrays, TiledFleetView
+from repro.cluster.fleet_arrays import FleetArrays
 from repro.cluster.placement import Assignment, PlacementOutcome
-
-#: Below this fleet size the scalar paths win: engine construction
-#: (matrix building plus metric gathering) costs more than it saves.
-AUTO_THRESHOLD = 24
-
-
-def resolve_backend(fleet, fleet_backend: str):
-    """The engine to use for ``fleet_backend``, or ``None`` for scalar.
-
-    ``"sharded"`` returns a
-    :class:`~repro.cluster.sharded.ShardedFleetEngine`; ``"auto"``
-    picks it on its own for lazy ``TiledFleetView`` fleets of at least
-    ``sharded.SHARDED_AUTO_THRESHOLD`` servers (eager fleets keep
-    routing to the columnar engine, whose per-server assignments the
-    schedulers need).
-    """
-    if fleet_backend == "scalar":
-        return None
-    if fleet_backend == "columnar":
-        return BatchPlacementEngine(fleet)
-    if fleet_backend == "sharded":
-        from repro.cluster.sharded import ShardedFleetEngine
-
-        return ShardedFleetEngine(fleet)
-    if fleet_backend != "auto":
-        raise ValueError(
-            f"unknown fleet_backend {fleet_backend!r}; "
-            "choose 'auto', 'scalar', 'columnar', or 'sharded'"
-        )
-    if isinstance(fleet, TiledFleetView):
-        from repro.cluster.sharded import SHARDED_AUTO_THRESHOLD, ShardedFleetEngine
-
-        try:
-            if len(fleet) >= SHARDED_AUTO_THRESHOLD:
-                return ShardedFleetEngine(fleet)
-            return BatchPlacementEngine(fleet)
-        except ValueError:  # unrepresentable base; scalar handles it
-            return None
-    if isinstance(fleet, FleetArrays):
-        return BatchPlacementEngine(fleet)
-    if len(fleet) < AUTO_THRESHOLD:
-        return None
-    try:
-        return BatchPlacementEngine(fleet)
-    except ValueError:
-        return None
 
 
 class BatchPlacementEngine:

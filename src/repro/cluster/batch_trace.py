@@ -14,29 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.cluster.batch_placement import (
-    BatchPlacementEngine,
-    resolve_backend,
-)
+from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.trace import _POLICIES, DemandTrace, TraceOutcome, diurnal_trace
-
-
-def resolve_trace_backend(fleet, fleet_backend: str):
-    """The replayer to use for ``fleet_backend``, or ``None`` for scalar.
-
-    A sharded placement engine (``fleet_backend="sharded"``, or
-    ``"auto"`` over a large lazy ``TiledFleetView``) gets the windowed
-    :class:`~repro.cluster.sharded.ShardedTraceReplay`; a columnar one
-    gets :class:`BatchTraceReplay`.
-    """
-    engine = resolve_backend(fleet, fleet_backend)
-    if engine is None:
-        return None
-    if isinstance(engine, BatchPlacementEngine):
-        return BatchTraceReplay(engine)
-    from repro.cluster.sharded import ShardedTraceReplay
-
-    return ShardedTraceReplay(engine)
 
 
 class BatchTraceReplay:

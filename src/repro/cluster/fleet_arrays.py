@@ -145,8 +145,8 @@ class FleetArrays:
     Construction requires a *uniform measurement grid* (every record
     reports the same target loads -- true of the whole synthesized
     corpus) and unique result ids; a fleet violating either raises
-    ``ValueError``, which the ``fleet_backend="auto"`` routing treats
-    as "fall back to the scalar path".
+    ``ValueError``, which :func:`repro.cluster.engines.fleet_engine`
+    treats as "fall back to the scalar path".
     """
 
     def __init__(
@@ -320,8 +320,8 @@ class TiledFleetView(SequenceABC):
     eager list element for element.
 
     The sharded engine (:mod:`repro.cluster.sharded`) consumes the
-    view without ever materializing it; the ``fleet_backend="auto"``
-    routing sends large views there.
+    view without ever materializing it;
+    :func:`repro.cluster.engines.fleet_engine` sends large views there.
     """
 
     def __init__(self, base: Sequence[SpecPowerResult], count: int):
@@ -414,8 +414,8 @@ def tile_fleet(
             f"eager tiling to {count} servers would materialize roughly "
             f"{estimated // (1024 * 1024)} MiB of record clones (budget "
             f"{budget_bytes // (1024 * 1024)} MiB); use lazy=True (a "
-            f"TiledFleetView) with fleet_backend='sharded', or raise "
-            f"REPRO_TILE_BUDGET_BYTES"
+            f"TiledFleetView, which the sharded engine consumes without "
+            f"materializing), or raise REPRO_TILE_BUDGET_BYTES"
         )
     tiled: List[SpecPowerResult] = []
     for index in range(count):

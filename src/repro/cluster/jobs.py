@@ -88,33 +88,33 @@ class Schedule:
 class JobScheduler(ABC):
     """Assigns a batch of jobs onto a fleet.
 
-    ``fleet_backend`` selects the implementation on both concrete
-    schedulers: ``"scalar"`` runs the per-server probe loops below,
-    ``"columnar"`` the bit-identical vectorized engine
-    (:mod:`repro.cluster.batch_placement`), and ``"auto"`` (default)
-    picks the columnar path for fleets large enough to amortize it.
+    Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
+    engine are scheduled by its bit-identical twin; the rest run the
+    per-server probe loops of :meth:`_schedule_scalar`, the reference.
     """
 
     name: str = "abstract"
 
-    @abstractmethod
     def schedule(
-        self,
-        fleet: Sequence[SpecPowerResult],
-        jobs: Sequence[Job],
-        fleet_backend: str = "auto",
+        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
     ) -> Schedule:
         """Place every job (or report it unplaced) on the fleet."""
+        from repro.cluster.engines import fleet_engine
+
+        engine = fleet_engine(fleet)
+        if engine is not None:
+            return engine.schedule(self.name, jobs)
+        return self._schedule_scalar(fleet, jobs)
+
+    @abstractmethod
+    def _schedule_scalar(
+        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
+    ) -> Schedule:
+        """The per-server reference loop."""
 
     @staticmethod
     def _capacity(server: SpecPowerResult, cap_utilization: float) -> float:
         return throughput_at(server, cap_utilization)
-
-    @staticmethod
-    def _columnar_engine(fleet: Sequence[SpecPowerResult], fleet_backend: str):
-        from repro.cluster.batch_placement import resolve_backend
-
-        return resolve_backend(fleet, fleet_backend)
 
 
 class FirstFitDecreasing(JobScheduler):
@@ -122,16 +122,10 @@ class FirstFitDecreasing(JobScheduler):
 
     name = "first-fit-decreasing"
 
-    def schedule(
-        self,
-        fleet: Sequence[SpecPowerResult],
-        jobs: Sequence[Job],
-        fleet_backend: str = "auto",
+    def _schedule_scalar(
+        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
     ) -> Schedule:
         """Largest jobs first onto the most efficient-at-full servers."""
-        engine = self._columnar_engine(fleet, fleet_backend)
-        if engine is not None:
-            return engine.first_fit_decreasing(jobs)
         schedule = Schedule(policy=self.name, fleet=list(fleet))
         ranked = sorted(
             fleet,
@@ -164,16 +158,10 @@ class PeakSpotAware(JobScheduler):
 
     name = "peak-spot-aware"
 
-    def schedule(
-        self,
-        fleet: Sequence[SpecPowerResult],
-        jobs: Sequence[Job],
-        fleet_backend: str = "auto",
+    def _schedule_scalar(
+        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
     ) -> Schedule:
         """Capped pass at the peak spots, then an uncapped spill pass."""
-        engine = self._columnar_engine(fleet, fleet_backend)
-        if engine is not None:
-            return engine.peak_spot_aware(jobs)
         schedule = Schedule(policy=self.name, fleet=list(fleet))
         ranked = sorted(fleet, key=lambda s: -s.peak_ee)
         ordered_jobs = sorted(jobs, key=lambda job: -job.demand_ops)
@@ -242,12 +230,10 @@ def synthesize_jobs(
 
 
 def compare_schedulers(
-    fleet: Sequence[SpecPowerResult],
-    jobs: Sequence[Job],
-    fleet_backend: str = "auto",
+    fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
 ) -> Dict[str, Schedule]:
     """Run both schedulers on the same batch."""
     return {
-        scheduler.name: scheduler.schedule(fleet, jobs, fleet_backend=fleet_backend)
+        scheduler.name: scheduler.schedule(fleet, jobs)
         for scheduler in (FirstFitDecreasing(), PeakSpotAware())
     }

@@ -24,9 +24,8 @@ an ablation via ``power_off_unused=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from repro._compat import warn_positional
 from repro.cluster.regions import efficiency_at, power_at, throughput_at
 from repro.dataset.schema import SpecPowerResult
 
@@ -77,18 +76,17 @@ def _capacity(server: SpecPowerResult, utilization: float) -> float:
     return throughput_at(server, utilization)
 
 
-def _columnar_engine(fleet: Sequence[SpecPowerResult], fleet_backend: str):
-    from repro.cluster.batch_placement import resolve_backend
+def _fleet_engine(fleet: Sequence[SpecPowerResult]):
+    from repro.cluster.engines import fleet_engine
 
-    return resolve_backend(fleet, fleet_backend)
+    return fleet_engine(fleet)
 
 
-@warn_positional("power_off_unused", "repro.api.PlacementQuery")
 def pack_to_full_placement(
     fleet: Sequence[SpecPowerResult],
     demand_ops: float,
+    *,
     power_off_unused: bool = False,
-    fleet_backend: str = "auto",
 ) -> PlacementOutcome:
     """Consolidate: fill the most efficient-at-full servers to 100%.
 
@@ -97,17 +95,23 @@ def pack_to_full_placement(
     last loaded server runs partially loaded.  Unused servers idle
     (or are powered off when ``power_off_unused``).
 
-    ``fleet_backend`` selects the implementation: ``"scalar"`` is this
-    per-server loop, ``"columnar"`` the bit-identical vectorized
-    engine (:mod:`repro.cluster.batch_placement`), and ``"auto"``
-    (default) picks the columnar path for fleets large enough to
-    amortize it.
+    Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
+    engine get its bit-identical answer; the rest run the scalar loop.
     """
     if demand_ops < 0.0:
         raise ValueError("demand cannot be negative")
-    engine = _columnar_engine(fleet, fleet_backend)
+    engine = _fleet_engine(fleet)
     if engine is not None:
         return engine.pack_to_full(demand_ops, power_off_unused)
+    return _pack_to_full_scalar(fleet, demand_ops, power_off_unused)
+
+
+def _pack_to_full_scalar(
+    fleet: Sequence[SpecPowerResult],
+    demand_ops: float,
+    power_off_unused: bool = False,
+) -> PlacementOutcome:
+    """The per-server reference loop of :func:`pack_to_full_placement`."""
     outcome = PlacementOutcome(policy="pack-to-full", demand_ops=demand_ops)
     remaining = demand_ops
     ranked = sorted(fleet, key=lambda s: -efficiency_at(s, 1.0))
@@ -131,12 +135,11 @@ def pack_to_full_placement(
     return outcome
 
 
-@warn_positional("power_off_unused", "repro.api.PlacementQuery")
 def ep_aware_placement(
     fleet: Sequence[SpecPowerResult],
     demand_ops: float,
+    *,
     power_off_unused: bool = False,
-    fleet_backend: str = "auto",
 ) -> PlacementOutcome:
     """Operate each active server at its peak-efficiency spot.
 
@@ -144,15 +147,23 @@ def ep_aware_placement(
     their peak-efficiency utilization (not 100%).  If every server is
     at its spot and demand remains, the policy tops servers up toward
     100% in peak-efficiency order (the spillover is unavoidable once
-    the fleet nears capacity).  ``fleet_backend`` selects the scalar
-    or (bit-identical) columnar implementation as in
+    the fleet nears capacity).  Engine routing is as in
     :func:`pack_to_full_placement`.
     """
     if demand_ops < 0.0:
         raise ValueError("demand cannot be negative")
-    engine = _columnar_engine(fleet, fleet_backend)
+    engine = _fleet_engine(fleet)
     if engine is not None:
         return engine.ep_aware(demand_ops, power_off_unused)
+    return _ep_aware_scalar(fleet, demand_ops, power_off_unused)
+
+
+def _ep_aware_scalar(
+    fleet: Sequence[SpecPowerResult],
+    demand_ops: float,
+    power_off_unused: bool = False,
+) -> PlacementOutcome:
+    """The per-server reference loop of :func:`ep_aware_placement`."""
     outcome = PlacementOutcome(policy="ep-aware", demand_ops=demand_ops)
     remaining = demand_ops
     ranked = sorted(fleet, key=lambda s: -s.peak_ee)
@@ -190,10 +201,15 @@ def ep_aware_placement(
             remaining -= extra
     outcome.assignments = list(assignments.values())
     if not power_off_unused:
+        # Start at 0.0: with every server assigned the sum is empty,
+        # and the engines report a float zero, not the int 0.
         outcome.unused_idle_power_w = sum(
-            power_at(server, 0.0)
-            for server in fleet
-            if server.result_id not in assignments
+            (
+                power_at(server, 0.0)
+                for server in fleet
+                if server.result_id not in assignments
+            ),
+            0.0,
         )
     return outcome
 
@@ -220,50 +236,59 @@ def _utilization_for(server: SpecPowerResult, throughput_ops: float) -> float:
     return 0.5 * (low + high)
 
 
-@warn_positional("policy", "repro.api.CapQuery")
 def max_throughput_under_cap(
     fleet: Sequence[SpecPowerResult],
     power_cap_w: float,
+    *,
     policy: str = "ep-aware",
     power_off_unused: bool = False,
-    fleet_backend: str = "auto",
 ) -> PlacementOutcome:
     """Maximum throughput achievable without exceeding a power cap.
 
     Bisects the demand level and returns the placement at the highest
     demand whose total power fits under the cap -- the "more jobs under
-    fixed power supply" experiment of Section V.C.  ``fleet_backend``
-    selects the scalar or (bit-identical) columnar implementation; the
-    columnar engine is built once and reused across all 40 bisection
-    probes.
+    fixed power supply" experiment of Section V.C.  An engine, when the
+    fleet gets one, is built once and reused across all 40 probes.
     """
     if power_cap_w <= 0.0:
         raise ValueError("power cap must be positive")
-    placers = {
-        "ep-aware": ep_aware_placement,
-        "pack-to-full": pack_to_full_placement,
-    }
-    if policy not in placers:
+    if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    engine = _columnar_engine(fleet, fleet_backend)
+    engine = _fleet_engine(fleet)
     if engine is not None:
         return engine.max_throughput_under_cap(
             power_cap_w, policy, power_off_unused
         )
-    place = placers[policy]
+    return _max_throughput_under_cap_scalar(
+        fleet, power_cap_w, policy, power_off_unused
+    )
+
+
+def _max_throughput_under_cap_scalar(
+    fleet: Sequence[SpecPowerResult],
+    power_cap_w: float,
+    policy: str = "ep-aware",
+    power_off_unused: bool = False,
+) -> PlacementOutcome:
+    """The reference bisection of :func:`max_throughput_under_cap`."""
+    place = _POLICIES[policy]
     total_capacity = sum(_capacity(server, 1.0) for server in fleet)
     low, high = 0.0, total_capacity
-    best = place(
-        fleet, 0.0, power_off_unused=power_off_unused, fleet_backend="scalar"
-    )
+    best = place(fleet, 0.0, power_off_unused)
     for _ in range(40):
         mid = 0.5 * (low + high)
-        outcome = place(
-            fleet, mid, power_off_unused=power_off_unused, fleet_backend="scalar"
-        )
+        outcome = place(fleet, mid, power_off_unused)
         if outcome.total_power_w <= power_cap_w and outcome.satisfied():
             best = outcome
             low = mid
         else:
             high = mid
     return best
+
+
+#: Policy name -> scalar reference loop, in the order
+#: ``compare_policies`` reports (the trace replay's registry too).
+_POLICIES: Dict[str, Callable[..., PlacementOutcome]] = {
+    "pack-to-full": _pack_to_full_scalar,
+    "ep-aware": _ep_aware_scalar,
+}

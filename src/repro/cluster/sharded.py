@@ -53,10 +53,9 @@ representation and the reductions:
   Parallel replay equals serial replay exactly (per-step work is
   self-contained; the parent folds results in step order).
 
-``fleet_backend="sharded"`` selects this engine on every public entry
-point; ``"auto"`` engages it for lazy
+:func:`repro.cluster.engines.fleet_engine` routes lazy
 :class:`~repro.cluster.fleet_arrays.TiledFleetView` fleets of at least
-:data:`SHARDED_AUTO_THRESHOLD` servers.
+``SHARDED_AUTO_THRESHOLD`` (100,000) servers here.
 """
 
 from __future__ import annotations
@@ -91,10 +90,6 @@ from repro.dataset.columns import ColumnSpillStore
 
 #: Servers per shard: the streaming granule of every fold and scan.
 DEFAULT_SHARD_SIZE = 65_536
-
-#: ``fleet_backend="auto"`` routes a lazy ``TiledFleetView`` of at
-#: least this many servers to the sharded engine.
-SHARDED_AUTO_THRESHOLD = 100_000
 
 #: Fleets of at least this many servers spill their derived columns
 #: to disk (memmapped) instead of holding them resident.
@@ -687,7 +682,7 @@ class ShardedFleetEngine:
     ``PlacementOutcome`` reductions on the same fleet.  The job
     schedulers are *not* implemented at this tier (a million-job
     first-fit is a different problem); those methods raise
-    ``ValueError`` pointing back at ``fleet_backend="columnar"``.
+    ``ValueError`` pointing at the columnar engine.
     """
 
     def __init__(
@@ -825,9 +820,10 @@ class ShardedFleetEngine:
 
     def _no_scheduling(self) -> ValueError:
         return ValueError(
-            "the sharded backend answers fleet-level placement summaries "
-            "only; job scheduling needs per-server state -- use "
-            "fleet_backend='columnar' (or 'scalar') for schedulers"
+            "the sharded engine answers fleet-level placement summaries "
+            "only; job scheduling needs the per-server state of the "
+            "columnar engine -- schedule an eager fleet (a list, or "
+            "tile_fleet(..., lazy=False)) instead of a lazy view"
         )
 
     def first_fit_decreasing(self, jobs: Sequence) -> None:

@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._compat import warn_positional
-from repro.cluster.placement import (
-    PlacementOutcome,
-    ep_aware_placement,
-    pack_to_full_placement,
-)
+from repro.cluster.placement import _POLICIES, PlacementOutcome
 from repro.dataset.schema import SpecPowerResult
 
 #: ``np.exp`` and ``math.exp`` disagree in the last ulp on some
@@ -122,34 +117,40 @@ class TraceOutcome:
         return self.energy_kwh / self.served_gops
 
 
-_POLICIES: Dict[str, Callable] = {
-    "pack-to-full": pack_to_full_placement,
-    "ep-aware": ep_aware_placement,
-}
+def _replayer(fleet: Sequence[SpecPowerResult]):
+    from repro.cluster.engines import fleet_engine, trace_replayer
+
+    return trace_replayer(fleet_engine(fleet))
 
 
-@warn_positional("policy", "repro.api.ReplayQuery")
 def replay_trace(
+    fleet: Sequence[SpecPowerResult],
+    trace: DemandTrace,
+    *,
+    policy: str = "ep-aware",
+    power_off_unused: bool = False,
+) -> TraceOutcome:
+    """Integrate fleet energy while serving the trace under a policy.
+
+    Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
+    engine replay through its bit-identical twin (columnar
+    :class:`~repro.cluster.batch_trace.BatchTraceReplay` or windowed
+    :class:`~repro.cluster.sharded.ShardedTraceReplay`); the rest run
+    the scalar day loop.
+    """
+    replayer = _replayer(fleet)
+    if replayer is not None:
+        return replayer.replay(trace, policy, power_off_unused)
+    return _replay_scalar(fleet, trace, policy, power_off_unused)
+
+
+def _replay_scalar(
     fleet: Sequence[SpecPowerResult],
     trace: DemandTrace,
     policy: str = "ep-aware",
     power_off_unused: bool = False,
-    fleet_backend: str = "auto",
 ) -> TraceOutcome:
-    """Integrate fleet energy while serving the trace under a policy.
-
-    ``fleet_backend`` selects the implementation: ``"scalar"`` is this
-    per-step loop over the scalar placements, ``"columnar"`` the
-    bit-identical :class:`repro.cluster.batch_trace.BatchTraceReplay`
-    (placement engine built once, shared across all steps), and
-    ``"auto"`` (default) picks the columnar path for fleets large
-    enough to amortize it.
-    """
-    from repro.cluster.batch_trace import resolve_trace_backend
-
-    replayer = resolve_trace_backend(fleet, fleet_backend)
-    if replayer is not None:
-        return replayer.replay(trace, policy, power_off_unused)
+    """The per-step reference loop of :func:`replay_trace`."""
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {sorted(_POLICIES)}")
     place = _POLICIES[policy]
@@ -165,10 +166,7 @@ def replay_trace(
     unserved = 0
     for fraction in trace.demand_fraction:
         outcome: PlacementOutcome = place(
-            fleet,
-            fraction * capacity,
-            power_off_unused=power_off_unused,
-            fleet_backend="scalar",
+            fleet, fraction * capacity, power_off_unused
         )
         if not outcome.satisfied():
             unserved += 1
@@ -183,29 +181,20 @@ def replay_trace(
     )
 
 
-@warn_positional("power_off_unused", "repro.api.ReplayQuery per policy")
 def compare_policies(
     fleet: Sequence[SpecPowerResult],
     trace: Optional[DemandTrace] = None,
+    *,
     power_off_unused: bool = False,
-    fleet_backend: str = "auto",
 ) -> Dict[str, TraceOutcome]:
     """Replay the same trace under every policy."""
     if trace is None:
         trace = diurnal_trace(noise=0.0)
-    from repro.cluster.batch_trace import resolve_trace_backend
-
-    replayer = resolve_trace_backend(fleet, fleet_backend)
+    replayer = _replayer(fleet)
     if replayer is not None:
         return replayer.compare_policies(trace, power_off_unused)
     return {
-        policy: replay_trace(
-            fleet,
-            trace,
-            policy=policy,
-            power_off_unused=power_off_unused,
-            fleet_backend="scalar",
-        )
+        policy: _replay_scalar(fleet, trace, policy, power_off_unused)
         for policy in _POLICIES
     }
 

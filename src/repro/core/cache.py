@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Version of the artifact-build logic.  Bump whenever a builder's
 #: output changes so stale entries stop matching.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"

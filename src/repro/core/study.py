@@ -57,7 +57,6 @@ from repro.analysis.temporal import (
     reorganization_deltas,
     yearly_trend,
 )
-from repro._compat import warn_positional
 from repro.cluster.placement import ep_aware_placement, pack_to_full_placement
 from repro.core.registry import description_of
 from repro.dataset.corpus import Corpus
@@ -83,24 +82,10 @@ class FigureResult:
 
 
 class Study:
-    """Owns a corpus and regenerates every figure/table of the paper.
+    """Owns a corpus and regenerates every figure/table of the paper."""
 
-    ``fleet_backend`` selects the cluster-layer implementation for the
-    fleet artifacts (placement, trace, jobs): ``"auto"`` (default)
-    routes large uniform fleets onto the columnar engines, ``"scalar"``
-    forces the reference loops, ``"columnar"`` forces the vectorized
-    path.  All three produce bit-identical artifacts.
-    """
-
-    @warn_positional("seed", "Study(corpus=...) or Study.query(QueryRequest)")
-    def __init__(
-        self,
-        corpus: Optional[Corpus] = None,
-        seed: int = 2016,
-        fleet_backend: str = "auto",
-    ):
+    def __init__(self, corpus: Optional[Corpus] = None, *, seed: int = 2016):
         self.seed = seed
-        self.fleet_backend = fleet_backend
         self._corpus = corpus if corpus is not None else generate_corpus(seed)
         self._sweeps: Dict[int, SweepResult] = {}
         self._sweep_locks: Dict[int, threading.Lock] = {
@@ -144,10 +129,8 @@ class Study:
             raise TypeError(
                 f"expected a repro.api.QueryRequest, got {type(request).__name__}"
             )
-        if request.seed != self.seed or request.fleet_backend != self.fleet_backend:
-            request = dataclasses.replace(
-                request, seed=self.seed, fleet_backend=self.fleet_backend
-            )
+        if request.seed != self.seed:
+            request = dataclasses.replace(request, seed=self.seed)
         context = QueryContext()
         context.adopt_study(self)
         return execute(request, context)
@@ -943,10 +926,8 @@ class Study:
             if level.target_load == 1.0
         )
         demand = 0.5 * capacity
-        packed = pack_to_full_placement(
-            fleet, demand, fleet_backend=self.fleet_backend
-        )
-        aware = ep_aware_placement(fleet, demand, fleet_backend=self.fleet_backend)
+        packed = pack_to_full_placement(fleet, demand)
+        aware = ep_aware_placement(fleet, demand)
         saving = 1.0 - aware.total_power_w / packed.total_power_w
         text = (
             f"fleet: {len(fleet)} servers (2013-2016), demand = 50% of capacity\n"
@@ -1080,7 +1061,7 @@ class Study:
 
         fleet = list(self._corpus.by_hw_year_range(2014, 2016))
         trace = diurnal_trace(steps_per_day=24, noise=0.0)
-        outcomes = compare_policies(fleet, trace, fleet_backend=self.fleet_backend)
+        outcomes = compare_policies(fleet, trace)
         saving = daily_saving(outcomes)
         rows = [
             [
@@ -1108,9 +1089,7 @@ class Study:
 
         fleet = list(self._corpus.by_hw_year_range(2014, 2016))
         jobs = synthesize_jobs(fleet, demand_fraction=0.5, seed=4)
-        schedules = compare_schedulers(
-            fleet, jobs, fleet_backend=self.fleet_backend
-        )
+        schedules = compare_schedulers(fleet, jobs)
         rows = [
             [
                 schedule.policy,

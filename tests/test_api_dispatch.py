@@ -22,8 +22,19 @@ from repro.api import (
     execute,
 )
 from repro.api.requests import REQUEST_TYPES
+from repro.api.result import API_VERSION
+from repro.cluster import engines
+from repro.cluster.batch_placement import BatchPlacementEngine
+from repro.cluster.sharded import ShardedFleetEngine
 from repro.core.cache import ENGINE_VERSION, ArtifactCache
 from repro.core.study import Study
+
+#: engine name -> a stand-in for ``fleet_engine`` that forces it
+FORCED_ENGINES = {
+    "scalar": lambda fleet: None,
+    "columnar": BatchPlacementEngine,
+    "sharded": ShardedFleetEngine,
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +44,23 @@ def context():
 
 def payload_json(result):
     return json.dumps(result.to_dict()["payload"], sort_keys=True)
+
+
+def forced_execute(monkeypatch, study, request, engine, cache=None):
+    """Execute ``request`` in a fresh context on the named engine."""
+    fresh = QueryContext(cache=cache)
+    fresh.adopt_study(study)
+    with monkeypatch.context() as patch:
+        patch.setattr(engines, "fleet_engine", FORCED_ENGINES[engine])
+        return execute(request, fresh)
+
+
+def every_engine(monkeypatch, study, request):
+    """``request`` answered on each engine, keyed by engine name."""
+    return {
+        engine: forced_execute(monkeypatch, study, request, engine)
+        for engine in FORCED_ENGINES
+    }
 
 
 class TestTable:
@@ -114,15 +142,15 @@ class TestFamilies:
 
 class TestProvenance:
     def test_fleet_queries_record_the_concrete_backend(self, context):
-        auto = execute(ReplayQuery(servers=30, steps=8), context)
-        assert auto.provenance.fleet_backend in ("scalar", "columnar")
-        forced = execute(
-            ReplayQuery(servers=30, steps=8, fleet_backend="scalar"), context
-        )
-        assert forced.provenance.fleet_backend == "scalar"
+        large = execute(ReplayQuery(servers=30, steps=8), context)
+        assert large.provenance.fleet_backend == "columnar"
+        small = execute(ReplayQuery(servers=20, steps=8), context)
+        assert small.provenance.fleet_backend == "scalar"
 
     def test_non_fleet_queries_have_no_backend(self, context):
         assert execute(StatsQuery(), context).provenance.fleet_backend == "-"
+        artifact = execute(ArtifactQuery(artifact_id="fig3"), context)
+        assert artifact.provenance.fleet_backend == "-"
 
     def test_corpus_families_carry_the_fingerprint(self, context):
         result = execute(StatsQuery(), context)
@@ -134,49 +162,43 @@ class TestProvenance:
     def test_envelope_serializes(self, context):
         document = json.loads(execute(StatsQuery(), context).to_json())
         assert document["provenance"]["engine_version"] == ENGINE_VERSION
-        assert document["provenance"]["api_version"] == "1"
+        assert document["provenance"]["api_version"] == API_VERSION == "2"
 
 
 class TestBackendParity:
-    def test_backends_share_one_spec_key_and_payload(self, context):
-        results = [
-            execute(
-                ReplayQuery(servers=30, steps=8, fleet_backend=backend),
-                context,
-            )
-            for backend in ("auto", "scalar", "columnar", "sharded")
-        ]
-        keys = {r.provenance.spec_key for r in results}
-        assert len(keys) == 1
-        payloads = {payload_json(r) for r in results}
-        assert len(payloads) == 1
-        # the text echoes the *requested* backend mode (pinned CLI
-        # format); everything after that first line must agree
-        texts = {r.text.split("\n", 1)[1] for r in results}
-        assert len(texts) == 1
+    """Every engine answers a fleet query byte for byte alike."""
 
-    def test_placement_backends_bit_identical(self, context):
-        scalar = execute(
-            PlacementQuery(servers=30, fleet_backend="scalar"), context
+    def test_backends_share_one_spec_key_and_payload(self, monkeypatch, study):
+        results = every_engine(
+            monkeypatch, study, ReplayQuery(servers=30, steps=8)
         )
-        columnar = execute(
-            PlacementQuery(servers=30, fleet_backend="columnar"), context
-        )
-        assert payload_json(scalar) == payload_json(columnar)
-        assert scalar.provenance.spec_key == columnar.provenance.spec_key
+        assert {
+            name: r.provenance.fleet_backend for name, r in results.items()
+        } == {name: name for name in FORCED_ENGINES}
+        assert len({r.provenance.spec_key for r in results.values()}) == 1
+        assert len({payload_json(r) for r in results.values()}) == 1
+        assert len({r.text for r in results.values()}) == 1
 
-    def test_sharded_backend_is_recorded_and_bit_identical(self, context):
-        sharded = execute(
-            CapQuery(servers=30, power_cap_w=4000.0, fleet_backend="sharded"),
-            context,
+    def test_placement_backends_bit_identical(self, monkeypatch, study):
+        for request in (
+            PlacementQuery(servers=30),
+            # every server assigned: the scalar loop once reported an
+            # int 0 of unused idle power where the engines report 0.0
+            PlacementQuery(servers=20, demand_fraction=0.764941533),
+        ):
+            results = every_engine(monkeypatch, study, request)
+            assert len({payload_json(r) for r in results.values()}) == 1
+            assert len({r.provenance.spec_key for r in results.values()}) == 1
+
+    def test_sharded_backend_is_recorded_and_bit_identical(
+        self, monkeypatch, study
+    ):
+        results = every_engine(
+            monkeypatch, study, CapQuery(servers=30, power_cap_w=4000.0)
         )
-        columnar = execute(
-            CapQuery(servers=30, power_cap_w=4000.0, fleet_backend="columnar"),
-            context,
-        )
-        assert sharded.provenance.fleet_backend == "sharded"
-        assert payload_json(sharded) == payload_json(columnar)
-        assert sharded.provenance.spec_key == columnar.provenance.spec_key
+        assert results["sharded"].provenance.fleet_backend == "sharded"
+        assert len({payload_json(r) for r in results.values()}) == 1
+        assert len({r.provenance.spec_key for r in results.values()}) == 1
 
 
 class TestDiskCache:
@@ -190,14 +212,15 @@ class TestDiskCache:
         assert payload_json(first) == payload_json(second)
         assert first.text == second.text
 
-    def test_scalar_write_serves_columnar_read(self, tmp_path):
+    def test_scalar_write_serves_columnar_read(
+        self, tmp_path, monkeypatch, study
+    ):
         cache = ArtifactCache(tmp_path / "store")
-        context = QueryContext(cache=cache)
-        execute(ReplayQuery(servers=30, steps=8, fleet_backend="scalar"), context)
-        hit = execute(
-            ReplayQuery(servers=30, steps=8, fleet_backend="columnar"), context
-        )
-        assert hit.provenance.cache_hit  # backends share one entry
+        request = ReplayQuery(servers=30, steps=8)
+        forced_execute(monkeypatch, study, request, "scalar", cache)
+        hit = forced_execute(monkeypatch, study, request, "columnar", cache)
+        assert hit.provenance.cache_hit  # engines share one entry
+        assert hit.provenance.fleet_backend == "columnar"
 
     def test_artifact_entry_shared_with_run_all(self, tmp_path):
         cache = ArtifactCache(tmp_path / "store")

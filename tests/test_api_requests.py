@@ -42,13 +42,20 @@ class TestCatalog:
     def test_every_request_carries_the_explicit_common_fields(self):
         for cls in REQUEST_TYPES:
             names = {f.name for f in dataclasses.fields(cls)}
-            assert {"seed", "fleet_backend", "format"} <= names, cls
+            assert {"seed", "format"} <= names, cls
+            assert "fleet_backend" not in names, cls
 
 
 class TestValidation:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="fleet_backend"):
-            StatsQuery(fleet_backend="gpu")
+        # No request names an engine any more: a payload that still
+        # carries the field gets the strict unknown-field error (a 400
+        # from the daemon), whatever its value.
+        for value in ("auto", "scalar", "columnar", "sharded", "gpu"):
+            with pytest.raises(ValueError, match="unknown field.*fleet_backend"):
+                request_from_dict(
+                    {"family": "replay", "servers": 30, "fleet_backend": value}
+                )
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
@@ -101,14 +108,15 @@ class TestWireForm:
 class TestIdentity:
     def test_spec_excludes_format_and_backend(self):
         base = ReplayQuery(servers=30, steps=8)
-        for variant in (
-            ReplayQuery(servers=30, steps=8, fleet_backend="scalar"),
-            ReplayQuery(servers=30, steps=8, fleet_backend="columnar"),
-            ReplayQuery(servers=30, steps=8, fleet_backend="sharded"),
-            ReplayQuery(servers=30, steps=8, format="json"),
-        ):
-            assert canonical_spec(variant) == canonical_spec(base)
-            assert spec_suffix(variant) == spec_suffix(base)
+        variant = ReplayQuery(servers=30, steps=8, format="json")
+        assert canonical_spec(variant) == canonical_spec(base)
+        assert spec_suffix(variant) == spec_suffix(base)
+        # the engine that serves a request is provenance, never identity
+        assert canonical_spec(base) == (
+            '{"family":"replay","hw_year_max":2016,"hw_year_min":2016,'
+            '"policy":"ep-aware","power_off_unused":false,"seed":2016,'
+            '"servers":30,"steps":8}'
+        )
 
     def test_spec_tracks_identity_fields(self):
         assert canonical_spec(ReplayQuery(steps=8)) != canonical_spec(

@@ -185,8 +185,8 @@ class TestPlacement:
     def test_throughput_under_cap_favors_ep_aware(self, modern_fleet):
         capacity = self._capacity(modern_fleet)
         cap = 0.6 * pack_to_full_placement(modern_fleet, capacity).total_power_w
-        packed = max_throughput_under_cap(modern_fleet, cap, "pack-to-full")
-        aware = max_throughput_under_cap(modern_fleet, cap, "ep-aware")
+        packed = max_throughput_under_cap(modern_fleet, cap, policy="pack-to-full")
+        aware = max_throughput_under_cap(modern_fleet, cap, policy="ep-aware")
         assert aware.placed_ops >= packed.placed_ops
         assert aware.total_power_w <= cap
         assert packed.total_power_w <= cap

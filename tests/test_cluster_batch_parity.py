@@ -1,21 +1,23 @@
 """Bit-identity tests for the columnar fleet engines.
 
 The contract (same as the batch SSJ engine's parity suite): the scalar
-paths in ``placement.py``, ``jobs.py``, and ``trace.py`` are the
+loops in ``placement.py``, ``jobs.py``, and ``trace.py`` are the
 reference, and the columnar twins must reproduce every output object
 *exactly* -- same floats, same ordering, same dict insertion order --
-on the seed corpus fleet.  No tolerances anywhere in this file.
+on the seed corpus fleet.  No tolerances anywhere in this file.  Each
+pair calls the private scalar loop and a directly built engine, so the
+comparison does not depend on which engine ``fleet_engine`` picks.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.cluster.batch_placement import (
-    AUTO_THRESHOLD,
-    BatchPlacementEngine,
-    resolve_backend,
-)
-from repro.cluster.batch_trace import BatchTraceReplay, resolve_trace_backend
+from repro.api.dispatch import _outcome_payload
+from repro.cluster.batch_placement import BatchPlacementEngine
+from repro.cluster.batch_trace import BatchTraceReplay
+from repro.cluster.engines import AUTO_THRESHOLD, fleet_engine, trace_replayer
 from repro.cluster.fleet_arrays import FleetArrays, tile_fleet
 from repro.cluster.jobs import (
     FirstFitDecreasing,
@@ -25,6 +27,10 @@ from repro.cluster.jobs import (
     synthesize_jobs,
 )
 from repro.cluster.placement import (
+    _POLICIES,
+    _ep_aware_scalar,
+    _max_throughput_under_cap_scalar,
+    _pack_to_full_scalar,
     _utilization_for,
     ep_aware_placement,
     max_throughput_under_cap,
@@ -32,6 +38,7 @@ from repro.cluster.placement import (
 )
 from repro.cluster.regions import power_at, throughput_at
 from repro.cluster.trace import (
+    _replay_scalar,
     compare_policies,
     daily_saving,
     diurnal_trace,
@@ -49,6 +56,11 @@ def fleet(corpus):
 @pytest.fixture(scope="module")
 def arrays(fleet):
     return FleetArrays.from_records(fleet)
+
+
+@pytest.fixture(scope="module")
+def engine(fleet):
+    return BatchPlacementEngine(fleet)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +220,13 @@ class TestTileFleet:
             tile_fleet(fleet, 0)
 
 
+#: public entry point -> (scalar reference loop, engine method name)
+_PLACEMENT_TWINS = {
+    pack_to_full_placement: (_pack_to_full_scalar, "pack_to_full"),
+    ep_aware_placement: (_ep_aware_scalar, "ep_aware"),
+}
+
+
 class TestPlacementParity:
     @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.85, 1.0, 1.2])
     @pytest.mark.parametrize("power_off", [False, True])
@@ -215,34 +234,57 @@ class TestPlacementParity:
         "place", [pack_to_full_placement, ep_aware_placement]
     )
     def test_bit_identical_outcomes(
-        self, fleet, capacity, fraction, power_off, place
+        self, fleet, engine, capacity, fraction, power_off, place
     ):
         demand = fraction * capacity
-        scalar = place(fleet, demand, power_off, fleet_backend="scalar")
-        columnar = place(fleet, demand, power_off, fleet_backend="columnar")
+        scalar_loop, method = _PLACEMENT_TWINS[place]
+        scalar = scalar_loop(fleet, demand, power_off)
+        columnar = getattr(engine, method)(demand, power_off)
         assert _placement_key(scalar) == _placement_key(columnar)
         assert scalar.placed_ops == columnar.placed_ops
         assert scalar.total_power_w == columnar.total_power_w
-
-    def test_negative_demand_raises_on_both(self, fleet):
-        for backend in ("scalar", "columnar"):
-            with pytest.raises(ValueError, match="negative"):
-                pack_to_full_placement(fleet, -1.0, fleet_backend=backend)
-            with pytest.raises(ValueError, match="negative"):
-                ep_aware_placement(fleet, -1.0, fleet_backend=backend)
+        routed = place(fleet, demand, power_off_unused=power_off)
+        assert _placement_key(routed) == _placement_key(columnar)
 
     @pytest.mark.parametrize("policy", ["ep-aware", "pack-to-full"])
-    def test_max_throughput_under_cap_parity(self, fleet, policy):
-        scalar = max_throughput_under_cap(
-            fleet, 40_000.0, policy, fleet_backend="scalar"
-        )
-        columnar = max_throughput_under_cap(
-            fleet, 40_000.0, policy, fleet_backend="columnar"
-        )
-        assert _placement_key(scalar) == _placement_key(columnar)
+    @pytest.mark.parametrize("servers", [20, 24, 48])
+    def test_payload_json_identical(self, fleet, capacity, policy, servers):
+        """Serialized outcomes match, int-vs-float zeros included.
 
-    def test_place_totals_match_outcome_properties(self, fleet, capacity):
-        engine = BatchPlacementEngine(fleet)
+        With every server assigned, the scalar EP-aware loop once
+        summed an empty generator and reported ``0`` where the engine
+        reports ``0.0``; the JSON payloads then differed in type under
+        one spec key.
+        """
+        cohort = fleet[:servers]
+        cohort_capacity = sum(throughput_at(s, 1.0) for s in cohort)
+        twin = BatchPlacementEngine(cohort)
+        for fraction in (0.0, 0.3, 0.764941533, 0.95, 1.0):
+            demand = fraction * cohort_capacity
+            for power_off in (False, True):
+                scalar = _POLICIES[policy](cohort, demand, power_off)
+                columnar = twin.place(policy, demand, power_off)
+                assert json.dumps(_outcome_payload(scalar)) == json.dumps(
+                    _outcome_payload(columnar)
+                )
+
+    def test_negative_demand_raises_on_both(self, fleet):
+        small = fleet[: AUTO_THRESHOLD - 1]
+        for cohort in (small, fleet):  # scalar route, engine route
+            with pytest.raises(ValueError, match="negative"):
+                pack_to_full_placement(cohort, -1.0)
+            with pytest.raises(ValueError, match="negative"):
+                ep_aware_placement(cohort, -1.0)
+
+    @pytest.mark.parametrize("policy", ["ep-aware", "pack-to-full"])
+    def test_max_throughput_under_cap_parity(self, fleet, engine, policy):
+        scalar = _max_throughput_under_cap_scalar(fleet, 40_000.0, policy)
+        columnar = engine.max_throughput_under_cap(40_000.0, policy)
+        assert _placement_key(scalar) == _placement_key(columnar)
+        routed = max_throughput_under_cap(fleet, 40_000.0, policy=policy)
+        assert _placement_key(routed) == _placement_key(columnar)
+
+    def test_place_totals_match_outcome_properties(self, engine, capacity):
         for policy in ("pack-to-full", "ep-aware"):
             outcome = engine.place(policy, 0.4 * capacity)
             placed, power = engine.place_totals(policy, 0.4 * capacity)
@@ -270,24 +312,25 @@ class TestSchedulerParity:
         assert a.placed_ops == b.placed_ops
 
     @pytest.mark.parametrize("scheduler", [FirstFitDecreasing, PeakSpotAware])
-    def test_bit_identical_schedules(self, fleet, jobs, scheduler):
-        scalar = scheduler().schedule(fleet, jobs, fleet_backend="scalar")
-        columnar = scheduler().schedule(fleet, jobs, fleet_backend="columnar")
+    def test_bit_identical_schedules(self, fleet, engine, jobs, scheduler):
+        scalar = scheduler()._schedule_scalar(fleet, jobs)
+        columnar = engine.schedule(scheduler.name, jobs)
         self._schedules_equal(scalar, columnar)
         assert "job-huge" in scalar.unplaced
 
-    def test_compare_schedulers_parity(self, fleet, jobs):
-        scalar = compare_schedulers(fleet, jobs, fleet_backend="scalar")
-        columnar = compare_schedulers(fleet, jobs, fleet_backend="columnar")
-        assert list(scalar) == list(columnar)
-        for name in scalar:
-            self._schedules_equal(scalar[name], columnar[name])
+    def test_compare_schedulers_parity(self, fleet, engine, jobs):
+        routed = compare_schedulers(fleet, jobs)
+        assert list(routed) == ["first-fit-decreasing", "peak-spot-aware"]
+        for name, schedule in routed.items():
+            self._schedules_equal(schedule, engine.schedule(name, jobs))
+        small = fleet[: AUTO_THRESHOLD - 1]
+        small_jobs = synthesize_jobs(small, demand_fraction=0.5, seed=4)
+        twin = BatchPlacementEngine(small)
+        for name, schedule in compare_schedulers(small, small_jobs).items():
+            self._schedules_equal(schedule, twin.schedule(name, small_jobs))
 
-    def test_schedule_power_w_matches_property(self, fleet, jobs):
-        engine = BatchPlacementEngine(fleet)
-        schedule = FirstFitDecreasing().schedule(
-            fleet, jobs, fleet_backend="scalar"
-        )
+    def test_schedule_power_w_matches_property(self, fleet, engine, jobs):
+        schedule = FirstFitDecreasing()._schedule_scalar(fleet, jobs)
         assert engine.schedule_power_w(schedule) == schedule.total_power_w
 
 
@@ -298,84 +341,97 @@ class TestReplayParity:
 
     @pytest.mark.parametrize("policy", ["ep-aware", "pack-to-full"])
     @pytest.mark.parametrize("power_off", [False, True])
-    def test_bit_identical_outcomes(self, fleet, trace, policy, power_off):
-        scalar = replay_trace(
-            fleet, trace, policy, power_off, fleet_backend="scalar"
-        )
-        columnar = replay_trace(
-            fleet, trace, policy, power_off, fleet_backend="columnar"
-        )
+    def test_bit_identical_outcomes(
+        self, fleet, engine, trace, policy, power_off
+    ):
+        scalar = _replay_scalar(fleet, trace, policy, power_off)
+        columnar = BatchTraceReplay(engine).replay(trace, policy, power_off)
         assert scalar == columnar
+        routed = replay_trace(
+            fleet, trace, policy=policy, power_off_unused=power_off
+        )
+        assert routed == columnar
 
-    def test_compare_policies_and_saving(self, fleet, trace):
-        scalar = compare_policies(fleet, trace, fleet_backend="scalar")
-        columnar = compare_policies(fleet, trace, fleet_backend="columnar")
+    def test_compare_policies_and_saving(self, fleet, engine, trace):
+        scalar = {
+            policy: _replay_scalar(fleet, trace, policy) for policy in _POLICIES
+        }
+        columnar = BatchTraceReplay(engine).compare_policies(trace)
         assert list(scalar) == list(columnar)
         assert scalar == columnar
         assert daily_saving(scalar) == daily_saving(columnar)
+        assert compare_policies(fleet, trace) == columnar
+        small = fleet[: AUTO_THRESHOLD - 1]
+        assert compare_policies(small, trace) == BatchTraceReplay(
+            small
+        ).compare_policies(trace)
 
-    def test_unknown_policy_message_matches(self, fleet, trace):
+    def test_unknown_policy_message_matches(self, fleet, engine, trace):
         with pytest.raises(ValueError, match="unknown policy") as scalar_err:
-            replay_trace(fleet, trace, "nope", fleet_backend="scalar")
+            _replay_scalar(fleet, trace, "nope")
         with pytest.raises(ValueError, match="unknown policy") as batch_err:
-            replay_trace(fleet, trace, "nope", fleet_backend="columnar")
+            BatchTraceReplay(engine).replay(trace, "nope")
         assert str(scalar_err.value) == str(batch_err.value)
 
-    def test_replayer_reuses_engine(self, fleet):
-        engine = BatchPlacementEngine(fleet)
-        replayer = BatchTraceReplay(engine)
-        assert replayer.engine is engine
+    def test_replayer_reuses_engine(self, engine):
+        assert BatchTraceReplay(engine).engine is engine
+        assert trace_replayer(engine).engine is engine
 
 
 class TestBackendRouting:
+    """``fleet_engine`` routing, and that it is the only way in."""
+
     def test_unknown_backend_raises(self, fleet):
-        with pytest.raises(ValueError, match="fleet_backend"):
+        # The fleet_backend knob is gone: any value is an unknown keyword.
+        with pytest.raises(TypeError, match="fleet_backend"):
             pack_to_full_placement(fleet, 0.0, fleet_backend="gpu")
 
     def test_scalar_resolves_to_none(self, fleet):
-        assert resolve_backend(fleet, "scalar") is None
-        assert resolve_trace_backend(fleet, "scalar") is None
+        small = fleet[:5]
+        assert fleet_engine(small) is None
+        assert trace_replayer(fleet_engine(small)) is None
 
     def test_auto_small_fleet_falls_back(self, fleet):
         small = fleet[: AUTO_THRESHOLD - 1]
-        assert resolve_backend(small, "auto") is None
+        assert fleet_engine(small) is None
 
     def test_auto_large_fleet_engages(self, fleet):
-        assert isinstance(resolve_backend(fleet, "auto"), BatchPlacementEngine)
-        assert isinstance(
-            resolve_trace_backend(fleet, "auto"), BatchTraceReplay
-        )
+        engine = fleet_engine(fleet)
+        assert isinstance(engine, BatchPlacementEngine)
+        assert isinstance(trace_replayer(engine), BatchTraceReplay)
 
     def test_auto_falls_back_on_duplicate_ids(self, fleet):
         doubled = fleet + fleet
-        assert resolve_backend(doubled, "auto") is None
+        assert fleet_engine(doubled) is None
         with pytest.raises(ValueError, match="duplicate"):
-            resolve_backend(doubled, "columnar")
+            BatchPlacementEngine(doubled)
 
     def test_auto_matches_scalar(self, fleet, capacity):
         demand = 0.6 * capacity
-        auto = ep_aware_placement(fleet, demand, fleet_backend="auto")
-        scalar = ep_aware_placement(fleet, demand, fleet_backend="scalar")
+        auto = ep_aware_placement(fleet, demand)
+        scalar = _ep_aware_scalar(fleet, demand)
         assert _placement_key(auto) == _placement_key(scalar)
 
     def test_fleet_arrays_accepted_directly(self, arrays, fleet, capacity):
-        direct = pack_to_full_placement(
-            arrays, 0.5 * capacity, fleet_backend="auto"
-        )
-        from_list = pack_to_full_placement(
-            fleet, 0.5 * capacity, fleet_backend="scalar"
-        )
+        assert isinstance(fleet_engine(arrays), BatchPlacementEngine)
+        direct = pack_to_full_placement(arrays, 0.5 * capacity)
+        from_list = _pack_to_full_scalar(fleet, 0.5 * capacity)
         assert _placement_key(direct) == _placement_key(from_list)
 
-    def test_study_backends_agree(self, corpus):
-        from repro.core.study import Study
-
-        scalar = Study(corpus=corpus, fleet_backend="scalar")
-        columnar = Study(corpus=corpus, fleet_backend="columnar")
-        a = scalar.figure("placement")
-        b = columnar.figure("placement")
-        assert a.series == b.series
-        assert a.text == b.text
+    def test_study_backends_agree(self, corpus, study):
+        # The placement artifact (routed to the columnar engine) equals
+        # the scalar reference loops on the same cohort.
+        figure = study.figure("placement")
+        cohort = list(corpus.by_hw_year_range(2013, 2016))
+        assert fleet_engine(cohort) is not None
+        demand = figure.series["demand_ops"]
+        packed = _pack_to_full_scalar(cohort, demand)
+        aware = _ep_aware_scalar(cohort, demand)
+        assert figure.series["pack_power_w"] == packed.total_power_w
+        assert figure.series["aware_power_w"] == aware.total_power_w
+        assert figure.series["saving"] == (
+            1.0 - aware.total_power_w / packed.total_power_w
+        )
 
 
 class TestCapacityEdgeCases:
@@ -417,8 +473,9 @@ class TestCapacityEdgeCases:
         from dataclasses import replace
 
         fleet = [replace(dead, result_id=f"dead-{i}") for i in range(3)]
-        for place in (pack_to_full_placement, ep_aware_placement):
-            scalar = place(fleet, 100.0, fleet_backend="scalar")
-            columnar = place(fleet, 100.0, fleet_backend="columnar")
+        engine = BatchPlacementEngine(fleet)
+        for scalar_loop, method in _PLACEMENT_TWINS.values():
+            scalar = scalar_loop(fleet, 100.0)
+            columnar = getattr(engine, method)(100.0)
             assert _placement_key(scalar) == _placement_key(columnar)
             assert not scalar.satisfied()

@@ -15,8 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.cluster.batch_placement import BatchPlacementEngine, resolve_backend
-from repro.cluster.batch_trace import BatchTraceReplay, resolve_trace_backend
+from repro.cluster.batch_placement import BatchPlacementEngine
+from repro.cluster.batch_trace import BatchTraceReplay
+from repro.cluster.engines import (
+    SHARDED_AUTO_THRESHOLD,
+    fleet_engine,
+    trace_replayer,
+)
 from repro.cluster.fleet_arrays import (
     LAZY_TILE_THRESHOLD,
     FleetArrays,
@@ -26,7 +31,6 @@ from repro.cluster.fleet_arrays import (
 )
 from repro.cluster.placement import _utilization_for
 from repro.cluster.sharded import (
-    SHARDED_AUTO_THRESHOLD,
     ShardedFleetEngine,
     ShardedTraceReplay,
     _fold_continue,
@@ -356,31 +360,25 @@ class TestSequentialFolds:
 
 class TestBackendRouting:
     def test_explicit_sharded_backend(self, base):
-        engine = resolve_backend(tile_fleet(base, 300, lazy=True), "sharded")
-        assert isinstance(engine, ShardedFleetEngine)
+        # Below the routing threshold the sharded engine is still
+        # constructible directly (the parity tests rely on it).
+        engine = ShardedFleetEngine(tile_fleet(base, 300, lazy=True))
+        assert isinstance(engine, ShardedFleetEngine) and len(engine) == 300
 
     def test_auto_keeps_columnar_for_small_views(self, view10k):
-        assert isinstance(
-            resolve_backend(view10k, "auto"), BatchPlacementEngine
-        )
+        assert isinstance(fleet_engine(view10k), BatchPlacementEngine)
 
     def test_auto_goes_sharded_for_large_views(self, base):
         view = tile_fleet(base, SHARDED_AUTO_THRESHOLD, lazy=True)
-        assert isinstance(resolve_backend(view, "auto"), ShardedFleetEngine)
-
-    def test_unknown_backend_lists_sharded(self, base):
-        with pytest.raises(ValueError, match="sharded"):
-            resolve_backend(base, "gpu")
+        assert isinstance(fleet_engine(view), ShardedFleetEngine)
 
     def test_trace_backend_types(self, base):
         view = tile_fleet(base, 300, lazy=True)
         assert isinstance(
-            resolve_trace_backend(view, "sharded"), ShardedTraceReplay
+            trace_replayer(ShardedFleetEngine(view)), ShardedTraceReplay
         )
-        assert isinstance(
-            resolve_trace_backend(view, "columnar"), BatchTraceReplay
-        )
-        assert resolve_trace_backend(view, "scalar") is None
+        assert isinstance(trace_replayer(fleet_engine(view)), BatchTraceReplay)
+        assert trace_replayer(fleet_engine(base[:5])) is None
 
 
 class TestSchedulerStubs:

@@ -91,7 +91,7 @@ class TestDiurnalTrace:
 class TestReplay:
     def test_energy_and_service_accounting(self, fleet):
         trace = diurnal_trace(steps_per_day=12, noise=0.0)
-        outcome = replay_trace(fleet, trace, "ep-aware")
+        outcome = replay_trace(fleet, trace, policy="ep-aware")
         assert outcome.energy_kwh > 0.0
         assert outcome.served_gops > 0.0
         assert outcome.unserved_steps == 0
@@ -118,12 +118,14 @@ class TestReplay:
 
     def test_power_off_mode_uses_less_energy(self, fleet):
         trace = diurnal_trace(steps_per_day=8, noise=0.0)
-        powered = replay_trace(fleet, trace, "pack-to-full",
+        powered = replay_trace(fleet, trace, policy="pack-to-full",
                                power_off_unused=False)
-        consolidated = replay_trace(fleet, trace, "pack-to-full",
+        consolidated = replay_trace(fleet, trace, policy="pack-to-full",
                                     power_off_unused=True)
         assert consolidated.energy_kwh < powered.energy_kwh
 
     def test_unknown_policy_rejected(self, fleet):
         with pytest.raises(ValueError, match="policy"):
-            replay_trace(fleet, diurnal_trace(steps_per_day=8, noise=0.0), "magic")
+            replay_trace(
+                fleet, diurnal_trace(steps_per_day=8, noise=0.0), policy="magic"
+            )

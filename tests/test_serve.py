@@ -222,9 +222,15 @@ class TestDaemonHttp:
         status, document = client.query(dict(REPLAY))
         assert status == 200
         assert document["family"] == "replay"
-        assert document["provenance"]["fleet_backend"] in (
-            "scalar", "columnar"
-        )
+        assert document["provenance"]["fleet_backend"] == "columnar"
+
+    def test_fleet_backend_field_is_400(self, daemon):
+        # The engine is picked per fleet; a request that still names
+        # one is an unknown field like any other.
+        client = ServeClient(port=daemon.port)
+        status, document = client.query(dict(REPLAY, fleet_backend="scalar"))
+        assert status == 400
+        assert "unknown field(s) ['fleet_backend']" in document["error"]
 
     def test_artifacts_listing(self, daemon):
         listing = ServeClient(port=daemon.port).artifacts()
