@@ -4,8 +4,9 @@
 Times the workloads the performance work targets -- corpus synthesis,
 the discrete-event simulate sweep, cold/warm ``run_all`` through the
 artifact engine, multi-seed ensemble throughput, the columnar
-fleet engine (10k-server trace replay, columnar vs scalar, plus a placement
-sweep), the sharded out-of-core tier (a million-server replay, run in
+fleet engine (10k-server trace replay, columnar vs scalar, a placement
+sweep, and a warm 20-server cap query through ``execute``), the sharded
+out-of-core tier (a million-server replay, run in
 a subprocess so its peak RSS is attributable), the incremental
 ``repro checks`` self-scan (cold vs fully-warm), the serve
 daemon's warm mixed-query throughput, its cold compute scaling
@@ -98,6 +99,12 @@ MAX_SERVE_P99_MS = 100.0
 SERVE_COMPUTE_WORKERS = 4
 MIN_SERVE_COMPUTE_SCALING = 2.5
 MIN_COMPUTE_CPUS = 4
+
+#: Ceiling (ms) on a warm 20-server cap query through ``execute``:
+#: 40 totals-only probes plus one materialized outcome, each inverting
+#: only the marginal server (measured ~2 ms; the per-server bisection
+#: it replaced took 24-35 ms, so a regression to it trips this).
+MAX_CAP_QUERY_20_MS = 15.0
 
 #: Ceiling on the p99 turnaround of a *shed* (503) answer while the
 #: daemon is saturated.  Shedding happens before any engine work, so
@@ -278,6 +285,20 @@ def bench_placement_sweep(n_servers: int, repeats: int) -> float:
                 engine.place(policy, fraction * capacity)
 
     return _best_of(repeats, run)
+
+
+def bench_cap_query(repeats: int) -> float:
+    """Best-of warm ``execute(CapQuery(servers=20))`` on one context, ms.
+
+    The first call builds the cohort's engine; the timed calls are the
+    cap search alone (no result memo sits in front of ``execute``).
+    """
+    from repro.api import CapQuery, QueryContext, execute
+
+    context = QueryContext()
+    request = CapQuery(servers=20, power_cap_w=1900.0)
+    execute(request, context)
+    return _best_of(repeats, lambda: execute(request, context)) * 1000.0
 
 
 #: Warm-up passes over the mixed workload before any serve timing.
@@ -595,6 +616,7 @@ def main(argv=None) -> int:
     trace_steps = 96
     scalar_steps = 1 if args.quick else 2
     placement_repeats = 1 if args.quick else 2
+    cap_query_repeats = 20 if args.quick else 50
     mega_servers = 1_000_000
     mega_steps = 96 if args.quick else 672
     serve_timed_rounds = 50 if args.quick else 200
@@ -632,6 +654,8 @@ def main(argv=None) -> int:
         fleet_servers, placement_repeats
     )
     timings["placement_sweep_rss_mb"] = _peak_rss_mb()
+    print("benchmarking warm 20-server cap query ...", flush=True)
+    timings["cap_query_20_ms"] = bench_cap_query(cap_query_repeats)
     print("benchmarking 1M-server sharded replay ...", flush=True)
     mega_elapsed, mega_rss = bench_fleet_replay_1m(mega_servers, mega_steps)
     timings["fleet_replay_1m_s"] = mega_elapsed
@@ -678,6 +702,7 @@ def main(argv=None) -> int:
             "trace_steps": trace_steps,
             "scalar_steps": scalar_steps,
             "placement_repeats": placement_repeats,
+            "cap_query_repeats": cap_query_repeats,
             "mega_servers": mega_servers,
             "mega_steps": mega_steps,
             "serve_warm_rounds": SERVE_WARM_ROUNDS,
@@ -706,6 +731,11 @@ def main(argv=None) -> int:
             breaches.append(
                 f"fleet_replay_speedup: {timings['fleet_replay_speedup']:.1f}x "
                 f"< required {MIN_FLEET_SPEEDUP:.0f}x"
+            )
+        if timings["cap_query_20_ms"] > MAX_CAP_QUERY_20_MS:
+            breaches.append(
+                f"cap_query_20_ms: {timings['cap_query_20_ms']:.2f}ms "
+                f"> ceiling {MAX_CAP_QUERY_20_MS:.0f}ms"
             )
         if timings["serve_qps"] < MIN_SERVE_QPS:
             breaches.append(

@@ -9,15 +9,17 @@ wraps the answer in a :class:`~repro.api.result.QueryResult` envelope.
 
 :class:`QueryContext` is the warm state a long-lived process (the
 :mod:`repro.serve` daemon, a REPL session) shares across queries:
-corpora, corpus slices, studies, tiled fleets, columnar placement
-engines and trace replayers, all memoized under one lock so concurrent
-executor threads build each at most once.
+corpora, corpus slices, studies, tiled fleets, fleet engines and
+trace replayers, all memoized under one lock so concurrent executor
+threads build each at most once; the per-cohort memos are a bounded
+LRU.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -90,16 +92,31 @@ def build_artifact(study: Any, figure_id: str) -> Any:
     return REGISTRY[figure_id].bind(study)()
 
 
+#: The identity of a fleet cohort: seed, hardware-year bounds, servers.
+FleetKey = Tuple[int, Optional[int], Optional[int], Optional[int]]
+
+#: How many fleet cohorts a context keeps warm.  Every positive
+#: ``servers`` value is a new cohort, so the cohort memos are an LRU;
+#: the serve benchmark's mix touches about 28.
+MAX_COHORTS = 64
+
+
 class QueryContext:
     """Warm, shareable state for executing queries.
 
     Everything is memoized under one re-entrant lock: corpora (per
-    seed), filtered corpus slices, studies, tiled fleets, columnar
-    placement engines and trace replayers, diurnal traces, and testbed
-    sweeps.  A single context handed to concurrent executor threads
-    builds each of these at most once -- which is what makes the
-    daemon's batching window collapse a group of compatible fleet
-    queries into one engine construction.
+    seed), filtered corpus slices, studies, tiled fleets, fleet engines
+    and trace replayers, diurnal traces, and testbed sweeps.  A single
+    context handed to concurrent executor threads builds each of these
+    at most once -- which is what makes the daemon's batching window
+    collapse a group of compatible fleet queries into one engine
+    construction.
+
+    The per-cohort memos (fleet, engine, replayer) share one
+    least-recently-used order of at most :data:`MAX_COHORTS` cohorts
+    and are evicted together, so a stream of distinct ``servers``
+    values cannot grow a long-lived daemon without bound.  An evicted
+    cohort is rebuilt on its next query, with the same answers.
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None):
@@ -108,9 +125,10 @@ class QueryContext:
         self._corpora: Dict[int, Any] = {}
         self._slices: Dict[Tuple[int, Optional[int], Optional[int]], Any] = {}
         self._studies: Dict[int, Any] = {}
-        self._fleets: Dict[Tuple[int, int, int, Optional[int]], List[Any]] = {}
-        self._engines: Dict[Tuple[int, int, int, Optional[int]], Any] = {}
-        self._replayers: Dict[Tuple[int, int, int, Optional[int]], Any] = {}
+        self._cohorts: "OrderedDict[FleetKey, None]" = OrderedDict()
+        self._fleets: Dict[FleetKey, List[Any]] = {}
+        self._engines: Dict[FleetKey, Any] = {}
+        self._replayers: Dict[FleetKey, Any] = {}
         self._traces: Dict[int, Any] = {}
         self._sweeps: Dict[int, Any] = {}
 
@@ -158,7 +176,7 @@ class QueryContext:
     # -- fleet machinery ---------------------------------------------------------
 
     @staticmethod
-    def fleet_key(request: QueryRequest) -> Tuple[int, int, int, Optional[int]]:
+    def fleet_key(request: QueryRequest) -> FleetKey:
         """The cohort identity of a fleet-family request."""
         servers = getattr(request, "servers", None)
         return (
@@ -168,10 +186,21 @@ class QueryContext:
             servers,
         )
 
+    def _touch(self, key: FleetKey) -> None:
+        """Mark ``key`` most recently used; evict the oldest cohort past
+        :data:`MAX_COHORTS` from all three cohort memos at once."""
+        self._cohorts[key] = None
+        self._cohorts.move_to_end(key)
+        while len(self._cohorts) > MAX_COHORTS:
+            oldest, _ = self._cohorts.popitem(last=False)
+            for memo in (self._fleets, self._engines, self._replayers):
+                memo.pop(oldest, None)
+
     def fleet(self, request: QueryRequest) -> List[Any]:
         """The (optionally tiled) server cohort of a fleet request."""
         key = self.fleet_key(request)
         with self._lock:
+            self._touch(key)
             if key not in self._fleets:
                 seed, year_min, year_max, servers = key
                 base = self.corpus_slice(seed, year_min, year_max).results()
@@ -196,6 +225,7 @@ class QueryContext:
         """
         key = self.fleet_key(request)
         with self._lock:
+            self._touch(key)
             if key not in self._engines:
                 from repro.cluster.engines import fleet_engine
 
@@ -206,6 +236,7 @@ class QueryContext:
         """The trace replayer over :meth:`engine`, or ``None`` (memoized)."""
         key = self.fleet_key(request)
         with self._lock:
+            self._touch(key)
             if key not in self._replayers:
                 from repro.cluster.engines import trace_replayer
 

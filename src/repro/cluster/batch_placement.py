@@ -7,17 +7,23 @@ the scalar implementations stay in place as the reference, and the
 parity tests assert *exact* equality of every output object on the
 seed corpus fleet.
 
-The structure of the speedup: ranking keys, curve evaluations, and
-utilization inversions -- the parts that cost one ``np.interp`` (or
-fifty, for a bisection) per server in the scalar code -- are batched
-through the :class:`FleetArrays` kernels, while the genuinely
-sequential take/fit loops stay as cheap pure-Python float arithmetic
-over pre-extracted lists, because their running-remainder accumulation
+The structure of the speedup: ranking keys and curve evaluations --
+one ``np.interp`` per server in the scalar code -- are batched through
+the :class:`FleetArrays` kernels, while the genuinely sequential
+take/fit loops stay as cheap pure-Python float arithmetic over
+pre-extracted lists, because their running-remainder accumulation
 order is part of the bit-identity contract (``np.cumsum``'s pairwise
-summation would drift in the last ulp).
+summation would drift in the last ulp).  Utilization inversions -- a
+50-step bisection per server in the scalar code -- are mostly not run
+at all: every ranked server but the marginal one takes exactly its
+spot or full capacity, whose answers are known from construction, so
+a placement inverts only the rows left open (typically one) through
+the single-row kernels, and the power-cap search probes on totals
+and materializes one outcome.
 
 Which fleets reach this engine is decided in one place,
-:func:`repro.cluster.engines.fleet_engine`.
+:func:`repro.cluster.engines.fleet_engine`: every fleet the columns
+can represent, however small.
 """
 
 from __future__ import annotations
@@ -26,8 +32,20 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.fleet_arrays import FleetArrays
+from repro.cluster.fleet_arrays import (
+    FleetArrays,
+    _bisect_rows,
+    _interp_row,
+    _interp_rows,
+    _invert_row,
+)
 from repro.cluster.placement import Assignment, PlacementOutcome
+
+#: Up to this many rows are inverted one at a time through the
+#: single-row kernels (the open rows of a placement, typically one);
+#: more (a construction-time spot inversion) go through one batched
+#: bisection, which costs the same 50 numpy rounds for any row count.
+_ROW_KERNEL_MAX = 8
 
 
 class BatchPlacementEngine:
@@ -36,8 +54,9 @@ class BatchPlacementEngine:
     Reproduces ``pack_to_full_placement``, ``ep_aware_placement``,
     ``max_throughput_under_cap``, and the two ``jobs.py`` schedulers
     bit-identically.  Construction precomputes the ranked orders
-    (stable argsorts on the exact scalar sort keys) and the per-server
-    capacity/idle columns the sequential loops consume.
+    (stable argsorts on the exact scalar sort keys), the per-server
+    capacity/idle columns the sequential loops consume, and each
+    server's utilization and power at its spot take.
     """
 
     def __init__(self, fleet):
@@ -50,6 +69,15 @@ class BatchPlacementEngine:
         self._full_cap = arrays.full_capacity.tolist()
         self._spot_cap = arrays.spot_capacity.tolist()
         self._idle = arrays.idle_power_w.tolist()
+        # Every row's spot take inverted once, so a placement inverts
+        # only the rows whose take is neither spot nor full capacity.
+        self._grid = arrays.load_grid.tolist()
+        spot_util, spot_power = self._invert(
+            np.arange(len(arrays), dtype=np.intp), arrays.spot_capacity
+        )
+        self._spot_util = np.array(spot_util)
+        self._spot_power = np.array(spot_power)
+        self._full_power = arrays.power[:, -1]
 
     # -- fluid placement (placement.py twin) -------------------------------------
 
@@ -144,12 +172,53 @@ class BatchPlacementEngine:
                     unused += self._idle[row]
         return rows, takes, unused
 
+    def _invert(
+        self, index: np.ndarray, takes: np.ndarray
+    ) -> Tuple[List[float], List[float]]:
+        """(utilizations, powers) of rows ``index`` serving ``takes``.
+
+        The exact scalar pipeline -- 50-iteration bisection, then the
+        power interpolation -- one row at a time through the
+        single-row kernels when there are few rows, batched otherwise.
+        """
+        arrays = self.arrays
+        if index.size > _ROW_KERNEL_MAX:
+            utils = _bisect_rows(arrays.load_grid, arrays.ops[index], takes)
+            powers = _interp_rows(arrays.load_grid, arrays.power[index], utils)
+            return utils.tolist(), powers.tolist()
+        utils = [
+            _invert_row(self._grid, arrays.ops[row].tolist(), take)
+            for row, take in zip(index.tolist(), takes.tolist())
+        ]
+        powers = [
+            _interp_row(self._grid, arrays.power[row].tolist(), utilization)
+            for row, utilization in zip(index.tolist(), utils)
+        ]
+        return utils, powers
+
     def _assignment_columns(
         self, rows: List[int], takes: List[float]
     ) -> Tuple[List[float], List[float]]:
+        """(utilizations, powers) of the assigned rows, bitwise scalar.
+
+        A row's answer is a pure function of (row, take), and almost
+        every take is known: one equal to the row's spot capacity reads
+        the answers precomputed at construction, and a positive one at
+        or beyond full capacity pins to 1.0 at full-load power.  Only
+        the rest -- typically the one marginal server -- are inverted.
+        """
+        arrays = self.arrays
         index = np.array(rows, dtype=np.intp)
-        utils = self.arrays.utilization_for(np.array(takes), rows=index)
-        powers = self.arrays.power_at(utils, rows=index)
+        take = np.array(takes, dtype=np.float64)
+        at_spot = take == arrays.spot_capacity[index]
+        at_full = (take > 0.0) & (take >= arrays.full_capacity[index])
+        utils = np.where(at_spot, self._spot_util[index], 1.0)
+        powers = np.where(at_spot, self._spot_power[index], self._full_power[index])
+        open_at = np.flatnonzero(~(at_spot | at_full))
+        if open_at.size:
+            utils[open_at], powers[open_at] = self._invert(
+                index[open_at], take[open_at]
+            )
         return utils.tolist(), powers.tolist()
 
     def _outcome(
@@ -213,16 +282,17 @@ class BatchPlacementEngine:
             raise ValueError(f"unknown policy {policy!r}")
         total_capacity = sum(self._full_cap)
         low, high = 0.0, total_capacity
-        best = self.place(policy, 0.0, power_off_unused)
+        # Probe on the two totals (the same reductions the outcome's
+        # properties and ``satisfied`` run), then materialize only the
+        # best demand: ``low`` moves exactly when a probe fits.
         for _ in range(40):
             mid = 0.5 * (low + high)
-            outcome = self.place(policy, mid, power_off_unused)
-            if outcome.total_power_w <= power_cap_w and outcome.satisfied():
-                best = outcome
+            placed, power = self.place_totals(policy, mid, power_off_unused)
+            if power <= power_cap_w and placed >= mid * (1.0 - 1e-6):
                 low = mid
             else:
                 high = mid
-        return best
+        return self.place(policy, low, power_off_unused)
 
     # -- job scheduling (jobs.py twin) -------------------------------------------
 

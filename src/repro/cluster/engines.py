@@ -4,8 +4,12 @@ The scalar loops in :mod:`~repro.cluster.placement`,
 :mod:`~repro.cluster.trace` and :mod:`~repro.cluster.jobs`, the columnar
 engine (:mod:`~repro.cluster.batch_placement`) and the sharded tier
 (:mod:`~repro.cluster.sharded`) give bit-identical answers, so the
-choice between them is a speed question with no user-facing knob:
-every public entry point and the query API's ``QueryContext`` route
+choice between them is a speed question with no user-facing knob.
+Every fleet the columns can represent gets an engine, however small:
+construction inverts each server's spot capacity once, after which a
+placement inverts only its marginal server.  The scalar loops remain
+the parity oracle and the fallback for unrepresentable fleets.
+Every public entry point and the query API's ``QueryContext`` route
 through :func:`fleet_engine`, and provenance reports the engine that ran.
 """
 
@@ -18,14 +22,9 @@ from repro.cluster.batch_trace import BatchTraceReplay
 from repro.cluster.fleet_arrays import FleetArrays, TiledFleetView
 from repro.cluster.sharded import ShardedFleetEngine, ShardedTraceReplay
 
-#: Below this many servers an eager fleet stays on the scalar loops:
-#: engine construction costs more than it saves (measured crossover
-#: between 20 and 48 servers, see DESIGN.md section 4.9).
-AUTO_THRESHOLD = 24
-
 #: A lazy ``TiledFleetView`` of at least this many servers goes to the
 #: sharded engine instead of materializing columnar matrices.
-SHARDED_AUTO_THRESHOLD = 100_000
+SHARDED_THRESHOLD = 100_000
 
 FleetEngine = Union[BatchPlacementEngine, ShardedFleetEngine]
 
@@ -33,19 +32,18 @@ FleetEngine = Union[BatchPlacementEngine, ShardedFleetEngine]
 def fleet_engine(fleet) -> Optional[FleetEngine]:
     """The engine for ``fleet``, or ``None`` for the scalar loops.
 
-    * a lazy ``TiledFleetView`` of at least
-      :data:`SHARDED_AUTO_THRESHOLD` servers -> sharded;
-    * any other view, a ``FleetArrays``, or an eager fleet of at least
-      :data:`AUTO_THRESHOLD` servers -> columnar;
-    * smaller eager fleets, and fleets the columnar layout cannot
-      represent (non-uniform load grid, duplicate ids) -> ``None``.
+    * a lazy ``TiledFleetView`` of at least :data:`SHARDED_THRESHOLD`
+      servers -> sharded;
+    * every other fleet the columns can represent, one server upward
+      -> columnar;
+    * fleets the columnar layout cannot represent (empty, non-uniform
+      load grid, duplicate ids) -> ``None``: the scalar loops, which
+      otherwise serve only as the engines' parity oracle.
     """
     if isinstance(fleet, FleetArrays):
         return BatchPlacementEngine(fleet)
-    if not isinstance(fleet, TiledFleetView) and len(fleet) < AUTO_THRESHOLD:
-        return None
     try:
-        if isinstance(fleet, TiledFleetView) and len(fleet) >= SHARDED_AUTO_THRESHOLD:
+        if isinstance(fleet, TiledFleetView) and len(fleet) >= SHARDED_THRESHOLD:
             return ShardedFleetEngine(fleet)
         return BatchPlacementEngine(fleet)
     except ValueError:

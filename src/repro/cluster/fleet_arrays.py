@@ -25,12 +25,15 @@ segment, ``slope * (u - x0) + y0``, right endpoint returned verbatim
 -- so the columnar engines built on top
 (:mod:`repro.cluster.batch_placement`,
 :mod:`repro.cluster.batch_trace`) are bit-identical drop-ins for the
-scalar paths, not approximations of them.
+scalar paths, not approximations of them.  :func:`_interp_row` and
+:func:`_invert_row` are the same arithmetic for one row in plain
+Python floats, for the marginal server a placement leaves open.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import replace
 from typing import List, Sequence, Union
@@ -114,9 +117,9 @@ def _bisect_rows(
     are bit-identical to bisecting everything and overwriting.
 
     ``table`` is ``(M, K)``; ``target`` is scalar, ``(M,)``, or
-    ``(M, T)``.  Shared by :meth:`FleetArrays.utilization_for` and the
-    sharded engine's out-of-core workers, which operate on raw column
-    blocks without a :class:`FleetArrays` wrapper.
+    ``(M, T)``.  Behind :meth:`FleetArrays.utilization_for`, and
+    called directly by the columnar engine on a subset of rows;
+    :func:`_invert_row` is the same arithmetic for a single row.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim == 0:
@@ -137,6 +140,43 @@ def _bisect_rows(
             high = np.where(below, high, mid)
         res[active] = 0.5 * (low + high)
     return res
+
+
+def _interp_row(grid: Sequence[float], ys: Sequence[float], u: float) -> float:
+    """One row of :func:`_interp_rows` in plain Python floats, bitwise.
+
+    The same IEEE operation order: segment index ``bisect_right - 1``
+    clipped to ``[0, K-2]``, ``(y1 - y0) / (x1 - x0) * (u - x0) + y0``,
+    and the right endpoint returned verbatim for ``u >= grid[-1]``.
+    """
+    if u >= grid[-1]:
+        return ys[-1]
+    index = min(max(bisect_right(grid, u) - 1, 0), len(grid) - 2)
+    x0 = grid[index]
+    y0 = ys[index]
+    return (ys[index + 1] - y0) / (grid[index + 1] - x0) * (u - x0) + y0
+
+
+def _invert_row(grid: Sequence[float], ops: Sequence[float], take: float) -> float:
+    """One element of :func:`_bisect_rows` in plain Python floats, bitwise.
+
+    The same guards in the same order (non-positive takes sit at 0.0,
+    takes at or beyond the row's full capacity pin to 1.0) and the same
+    50 halvings, so a single open row costs 50 scalar interpolations
+    instead of 50 numpy rounds.
+    """
+    if take <= 0.0:
+        return 0.0
+    if take >= ops[-1]:
+        return 1.0
+    low, high = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (low + high)
+        if _interp_row(grid, ops, mid) < take:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
 
 
 class FleetArrays:

@@ -55,7 +55,7 @@ representation and the reductions:
 
 :func:`repro.cluster.engines.fleet_engine` routes lazy
 :class:`~repro.cluster.fleet_arrays.TiledFleetView` fleets of at least
-``SHARDED_AUTO_THRESHOLD`` (100,000) servers here.
+``SHARDED_THRESHOLD`` (100,000) servers here.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ import numpy as np
 from repro.cluster.fleet_arrays import (
     FleetArrays,
     TiledFleetView,
-    _bisect_rows,
-    _interp_rows,
+    _interp_row,
+    _invert_row,
 )
 from repro.cluster.placement import PlacementOutcome
 from repro.cluster.trace import (
@@ -308,17 +308,15 @@ class _ShardKernel:
         """Power drawn by ranked row ``index`` serving ``take`` ops.
 
         Resolves the ranked index to its base record (tiled clones
-        share the base row's curves bitwise) and runs the scalar
-        pipeline -- 50-iteration utilization bisection, then the power
-        interpolation -- on that single row.
+        share the base row's curves bitwise) and runs the single-row
+        kernels -- 50-iteration utilization bisection, then the power
+        interpolation -- on that row's Python floats.
         """
         base_row = int(self.layout[perm_name][index]) % self.base_count
-        rows = slice(base_row, base_row + 1)
-        ops = np.asarray(self.layout["base_ops"][rows], dtype=np.float64)
-        power = np.asarray(self.layout["base_power"][rows], dtype=np.float64)
-        grid = np.asarray(self.layout["grid"], dtype=np.float64)
-        util = _bisect_rows(grid, ops, np.array([take]))
-        return float(_interp_rows(grid, power, util)[0])
+        grid = self.layout["grid"].tolist()
+        ops = self.layout["base_ops"][base_row].tolist()
+        power = self.layout["base_power"][base_row].tolist()
+        return _interp_row(grid, power, _invert_row(grid, ops, float(take)))
 
     # -- policy summaries --------------------------------------------------------
 

@@ -21,6 +21,7 @@ from repro.api import (
     ValidateQuery,
     execute,
 )
+from repro.api.dispatch import MAX_COHORTS
 from repro.api.requests import REQUEST_TYPES
 from repro.api.result import API_VERSION
 from repro.cluster import engines
@@ -145,7 +146,7 @@ class TestProvenance:
         large = execute(ReplayQuery(servers=30, steps=8), context)
         assert large.provenance.fleet_backend == "columnar"
         small = execute(ReplayQuery(servers=20, steps=8), context)
-        assert small.provenance.fleet_backend == "scalar"
+        assert small.provenance.fleet_backend == "columnar"
 
     def test_non_fleet_queries_have_no_backend(self, context):
         assert execute(StatsQuery(), context).provenance.fleet_backend == "-"
@@ -163,6 +164,50 @@ class TestProvenance:
         document = json.loads(execute(StatsQuery(), context).to_json())
         assert document["provenance"]["engine_version"] == ENGINE_VERSION
         assert document["provenance"]["api_version"] == API_VERSION == "2"
+
+
+class TestCohortMemo:
+    """Fleet, engine and replayer memos: one LRU, evicted together."""
+
+    def test_distinct_cohorts_stay_bounded(self, study):
+        context = QueryContext()
+        context.adopt_study(study)
+        first = ReplayQuery(servers=1, steps=4)
+        before = execute(first, context)
+        for servers in range(2, 101):
+            execute(ReplayQuery(servers=servers, steps=4), context)
+        assert MAX_COHORTS == 64
+        for memo in (context._fleets, context._engines, context._replayers):
+            assert len(memo) <= MAX_COHORTS
+        assert context.fleet_key(first) not in context._engines
+        # The evicted cohort rebuilds and answers byte for byte alike.
+        after = execute(first, context)
+        assert isinstance(context._engines[context.fleet_key(first)],
+                          BatchPlacementEngine)
+        assert payload_json(after) == payload_json(before)
+        assert after.text == before.text
+        assert after.provenance.spec_key == before.provenance.spec_key
+
+    def test_recent_cohorts_survive(self, study):
+        context = QueryContext()
+        context.adopt_study(study)
+        keep = PlacementQuery(servers=3)
+        execute(keep, context)
+        for servers in range(4, 4 + 2 * MAX_COHORTS):
+            execute(PlacementQuery(servers=servers), context)
+            execute(keep, context)  # touched every round: never the oldest
+        assert context.fleet_key(keep) in context._engines
+
+    def test_a_miss_grows_the_memos(self, study):
+        context = QueryContext()
+        context.adopt_study(study)
+        execute(PlacementQuery(servers=7), context)
+        sizes = len(context._fleets), len(context._engines)
+        execute(PlacementQuery(servers=8), context)
+        assert (len(context._fleets), len(context._engines)) == (
+            sizes[0] + 1,
+            sizes[1] + 1,
+        )
 
 
 class TestBackendParity:

@@ -17,7 +17,7 @@ import pytest
 from repro.api.dispatch import _outcome_payload
 from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.batch_trace import BatchTraceReplay
-from repro.cluster.engines import AUTO_THRESHOLD, fleet_engine, trace_replayer
+from repro.cluster.engines import fleet_engine, trace_replayer
 from repro.cluster.fleet_arrays import FleetArrays, tile_fleet
 from repro.cluster.jobs import (
     FirstFitDecreasing,
@@ -269,8 +269,8 @@ class TestPlacementParity:
                 )
 
     def test_negative_demand_raises_on_both(self, fleet):
-        small = fleet[: AUTO_THRESHOLD - 1]
-        for cohort in (small, fleet):  # scalar route, engine route
+        # Duplicate ids keep the doubled fleet on the scalar fallback.
+        for cohort in (fleet + fleet, fleet[:20]):  # scalar route, engine route
             with pytest.raises(ValueError, match="negative"):
                 pack_to_full_placement(cohort, -1.0)
             with pytest.raises(ValueError, match="negative"):
@@ -323,11 +323,14 @@ class TestSchedulerParity:
         assert list(routed) == ["first-fit-decreasing", "peak-spot-aware"]
         for name, schedule in routed.items():
             self._schedules_equal(schedule, engine.schedule(name, jobs))
-        small = fleet[: AUTO_THRESHOLD - 1]
+        small = fleet[:20]
         small_jobs = synthesize_jobs(small, demand_fraction=0.5, seed=4)
         twin = BatchPlacementEngine(small)
-        for name, schedule in compare_schedulers(small, small_jobs).items():
-            self._schedules_equal(schedule, twin.schedule(name, small_jobs))
+        routed_small = compare_schedulers(small, small_jobs)
+        for scheduler in (FirstFitDecreasing, PeakSpotAware):
+            scalar = scheduler()._schedule_scalar(small, small_jobs)
+            self._schedules_equal(scalar, twin.schedule(scheduler.name, small_jobs))
+            self._schedules_equal(scalar, routed_small[scheduler.name])
 
     def test_schedule_power_w_matches_property(self, fleet, engine, jobs):
         schedule = FirstFitDecreasing()._schedule_scalar(fleet, jobs)
@@ -361,10 +364,12 @@ class TestReplayParity:
         assert scalar == columnar
         assert daily_saving(scalar) == daily_saving(columnar)
         assert compare_policies(fleet, trace) == columnar
-        small = fleet[: AUTO_THRESHOLD - 1]
-        assert compare_policies(small, trace) == BatchTraceReplay(
-            small
-        ).compare_policies(trace)
+        small = fleet[:20]
+        small_scalar = {
+            policy: _replay_scalar(small, trace, policy) for policy in _POLICIES
+        }
+        assert small_scalar == BatchTraceReplay(small).compare_policies(trace)
+        assert compare_policies(small, trace) == small_scalar
 
     def test_unknown_policy_message_matches(self, fleet, engine, trace):
         with pytest.raises(ValueError, match="unknown policy") as scalar_err:
@@ -387,13 +392,18 @@ class TestBackendRouting:
             pack_to_full_placement(fleet, 0.0, fleet_backend="gpu")
 
     def test_scalar_resolves_to_none(self, fleet):
-        small = fleet[:5]
-        assert fleet_engine(small) is None
-        assert trace_replayer(fleet_engine(small)) is None
+        # Only fleets the columns cannot represent stay on the scalar
+        # loops; every other fleet, however small, gets an engine.
+        for unrepresentable in ([], fleet + fleet):
+            assert fleet_engine(unrepresentable) is None
+            assert trace_replayer(fleet_engine(unrepresentable)) is None
+        assert isinstance(fleet_engine(fleet[:5]), BatchPlacementEngine)
 
     def test_auto_small_fleet_falls_back(self, fleet):
-        small = fleet[: AUTO_THRESHOLD - 1]
-        assert fleet_engine(small) is None
+        # A small fleet falls back only when its grids disagree.
+        mixed = [_server("a"), _server("b", loads=[0.25, 0.5, 0.75, 1.0])]
+        assert fleet_engine(mixed) is None
+        assert isinstance(fleet_engine(fleet[:2]), BatchPlacementEngine)
 
     def test_auto_large_fleet_engages(self, fleet):
         engine = fleet_engine(fleet)
@@ -432,6 +442,110 @@ class TestBackendRouting:
         assert figure.series["saving"] == (
             1.0 - aware.total_power_w / packed.total_power_w
         )
+
+
+def _outcome_json(outcome) -> str:
+    """The API payload plus every assignment, as one JSON document."""
+    document = dict(_outcome_payload(outcome))
+    document["assignments"] = _placement_key(outcome)[3]
+    return json.dumps(document)
+
+
+def _schedule_json(schedule, power_w) -> str:
+    return json.dumps(
+        [
+            schedule.policy,
+            list(schedule.assignments.items()),
+            list(schedule.loads_ops.items()),
+            schedule.unplaced,
+            schedule.total_power_w,
+            power_w,
+        ]
+    )
+
+
+class TestSmallFleetParity:
+    """Fleets below the old 24-server cut, engine against scalar oracle.
+
+    Every fleet the columns can represent now runs on the columnar
+    engine, so the scalar loops are only the oracle here.
+    """
+
+    SIZES = [1, 2, 5, 14, 20, 23]
+
+    @pytest.fixture(scope="class", params=SIZES)
+    def cohort(self, request, fleet):
+        small = fleet[: request.param]
+        return small, BatchPlacementEngine(small)
+
+    @pytest.mark.parametrize("policy", ["ep-aware", "pack-to-full"])
+    def test_placement_json(self, cohort, policy):
+        small, engine = cohort
+        capacity = sum(throughput_at(s, 1.0) for s in small)
+        # 0.95 and up assign every server under ep-aware: the 0.0 idle case.
+        for fraction in (0.0, 0.05, 0.3, 0.5, 0.764941533, 0.95, 1.0, 1.2):
+            for power_off in (False, True):
+                demand = fraction * capacity
+                scalar = _POLICIES[policy](small, demand, power_off)
+                assert _outcome_json(engine.place(policy, demand, power_off)) == (
+                    _outcome_json(scalar)
+                )
+        everyone = engine.place(policy, 1.2 * capacity)
+        assert len(everyone.assignments) == len(small)
+        assert json.dumps(everyone.unused_idle_power_w) == "0.0"
+
+    @pytest.mark.parametrize("policy", ["ep-aware", "pack-to-full"])
+    def test_cap_json(self, cohort, policy):
+        small, engine = cohort
+        idle = engine.place(policy, 0.0).total_power_w
+        full = sum(power_at(s, 1.0) for s in small)
+        for cap_w in (0.5 * idle, 0.5 * (idle + full), 2.0 * full):
+            for power_off in (False, True):
+                scalar = _max_throughput_under_cap_scalar(
+                    small, cap_w, policy, power_off
+                )
+                columnar = engine.max_throughput_under_cap(cap_w, policy, power_off)
+                assert _outcome_json(columnar) == _outcome_json(scalar)
+        # Under the zero-demand power no probe fits: the demand-0 outcome.
+        starved = engine.max_throughput_under_cap(0.5 * idle, policy)
+        assert starved.demand_ops == 0.0
+        assert _outcome_json(starved) == _outcome_json(engine.place(policy, 0.0))
+        # Over full power every probe fits, so the search climbs to
+        # (almost) the whole capacity.
+        capacity = sum(throughput_at(s, 1.0) for s in small)
+        roomy = engine.max_throughput_under_cap(2.0 * full, policy)
+        assert roomy.satisfied() and roomy.demand_ops > 0.999 * capacity
+
+    @pytest.mark.parametrize("policy", ["ep-aware", "pack-to-full"])
+    def test_replay(self, cohort, policy):
+        small, engine = cohort
+        trace = diurnal_trace(steps_per_day=24, noise=0.0)
+        for power_off in (False, True):
+            scalar = _replay_scalar(small, trace, policy, power_off)
+            columnar = BatchTraceReplay(engine).replay(trace, policy, power_off)
+            assert json.dumps(vars(columnar)) == json.dumps(vars(scalar))
+
+    @pytest.mark.parametrize("scheduler", [FirstFitDecreasing, PeakSpotAware])
+    def test_schedulers(self, cohort, scheduler):
+        small, engine = cohort
+        jobs = synthesize_jobs(small, demand_fraction=0.5, seed=4)
+        scalar = scheduler()._schedule_scalar(small, jobs)
+        columnar = engine.schedule(scheduler.name, jobs)
+        assert _schedule_json(
+            columnar, engine.schedule_power_w(columnar)
+        ) == _schedule_json(scalar, scalar.total_power_w)
+
+    def test_many_open_rows_take_the_batched_path(self, fleet):
+        # Takes that are neither spot nor full capacity on every row:
+        # more open rows than the single-row kernel handles one by one.
+        engine = BatchPlacementEngine(fleet[:20])
+        rows = list(range(20))
+        takes = [0.37 * cap for cap in engine.arrays.full_capacity.tolist()]
+        utils, powers = engine._assignment_columns(rows, takes)
+        for row, take, utilization, power in zip(rows, takes, utils, powers):
+            server = engine.arrays.records[row]
+            assert utilization == _utilization_for(server, take)
+            assert power == power_at(server, utilization)
 
 
 class TestCapacityEdgeCases:

@@ -24,8 +24,10 @@ def _regridded(server):
 
 class TestSelectorEdges:
     def test_eager_23_vs_24_servers(self, base):
-        assert fleet_engine(base[:23]) is None
-        assert isinstance(fleet_engine(base[:24]), BatchPlacementEngine)
+        # No size cut: one server up is columnar, an empty fleet scalar.
+        for size in (1, 23, 24):
+            assert isinstance(fleet_engine(base[:size]), BatchPlacementEngine)
+        assert fleet_engine([]) is None
 
     def test_lazy_99_999_vs_100_000_servers(self, base):
         below = tile_fleet(base, 99_999, lazy=True)
@@ -49,7 +51,8 @@ class TestSelectorEdges:
         assert fleet_engine(tile_fleet(mixed, 1000, lazy=True)) is None
 
     def test_engine_names(self, base):
-        assert engine_name(fleet_engine(base[:23])) == "scalar"
+        assert engine_name(fleet_engine([])) == "scalar"
+        assert engine_name(fleet_engine(base[:1])) == "columnar"
         assert engine_name(fleet_engine(base[:24])) == "columnar"
         view = tile_fleet(base, 300, lazy=True)
         assert engine_name(ShardedFleetEngine(view)) == "sharded"

@@ -1,0 +1,183 @@
+"""The single-row curve kernels, bit for bit against every other path.
+
+``_interp_row``/``_invert_row`` answer the one marginal server of a
+placement in plain Python floats.  They must equal the batched numpy
+kernels (``_interp_rows``/``_bisect_rows``) elementwise *and* the
+scalar oracle (``np.interp`` and ``placement._utilization_for``), on
+seeded random monotone curves and on every corpus row.  Comparisons
+are on the IEEE bit patterns, so even a signed zero would show.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from repro.cluster.fleet_arrays import (
+    FleetArrays,
+    _bisect_rows,
+    _interp_row,
+    _interp_rows,
+    _invert_row,
+)
+from repro.cluster.placement import _utilization_for
+from repro.cluster.regions import throughput_at
+from repro.dataset.schema import LoadLevel, SpecPowerResult
+from repro.power.microarch import Codename
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _random_server(rng: np.random.Generator, index: int) -> SpecPowerResult:
+    """A seeded random monotone curve on its own random load grid.
+
+    Some grids stop short of 100% load, some throughput segments are
+    flat, and server 0 has zero capacity throughout.
+    """
+    count = int(rng.integers(2, 12))
+    loads = sorted({round(float(u), 3) for u in rng.uniform(0.01, 1.0, count)})
+    if rng.random() < 0.5:
+        loads = sorted(set(loads) | {1.0})
+    if len(loads) < 2:
+        loads = [0.5, 1.0]
+    steps = rng.uniform(0.0, 5_000.0, len(loads))
+    steps[rng.random(len(loads)) < 0.2] = 0.0
+    if index == 0:
+        steps[:] = 0.0
+    ops = np.cumsum(steps)
+    idle = float(rng.uniform(20.0, 200.0))
+    power = idle + np.cumsum(rng.uniform(0.5, 40.0, len(loads)))
+    return SpecPowerResult(
+        result_id=f"random-{index}",
+        vendor="Acme",
+        model="R-1",
+        form_factor="1U",
+        hw_year=2015,
+        published_year=2016,
+        codename=Codename.HASWELL,
+        nodes=1,
+        chips_per_node=2,
+        cores_per_chip=8,
+        memory_gb=32.0,
+        levels=[
+            LoadLevel(target_load=u, ssj_ops=float(o), average_power_w=float(p))
+            for u, o, p in zip(loads, ops, power)
+        ],
+        active_idle_power_w=idle,
+    )
+
+
+@pytest.fixture(scope="module")
+def random_servers():
+    rng = np.random.default_rng(20160)
+    return [_random_server(rng, index) for index in range(60)]
+
+
+def _targets(arrays: FleetArrays, rng: np.random.Generator) -> list:
+    """Every edge the inversion guards against, plus random interiors."""
+    full = float(arrays.full_capacity[0])
+    knots = arrays.ops[0].tolist()
+    return [
+        -1.0,
+        0.0,
+        full,
+        full * 1.5,
+        full + 1.0,
+        float(arrays.spot_capacity[0]),
+        *knots,
+        *(full * rng.uniform(0.0, 1.0, 8)).tolist(),
+    ]
+
+
+def _queries(grid: list, rng: np.random.Generator) -> list:
+    """Utilizations on every knot, at and past the last one, and between."""
+    return [*grid, grid[-1], 1.0, *rng.uniform(0.0, 1.0, 8).tolist()]
+
+
+class TestRandomCurves:
+    def test_invert_row_matches_batched_and_scalar(self, random_servers):
+        rng = np.random.default_rng(7)
+        for server in random_servers:
+            arrays = FleetArrays.from_records([server])
+            grid = arrays.load_grid.tolist()
+            ops = arrays.ops[0].tolist()
+            targets = _targets(arrays, rng)
+            batched = _bisect_rows(
+                arrays.load_grid,
+                np.broadcast_to(arrays.ops, (len(targets), len(grid))),
+                np.array(targets),
+            )
+            for target, expected in zip(targets, batched.tolist()):
+                row = _invert_row(grid, ops, target)
+                assert _bits(row) == _bits(expected), (server.result_id, target)
+                assert _bits(row) == _bits(_utilization_for(server, target))
+
+    def test_interp_row_matches_batched_and_np_interp(self, random_servers):
+        rng = np.random.default_rng(11)
+        for server in random_servers:
+            arrays = FleetArrays.from_records([server])
+            grid = arrays.load_grid.tolist()
+            queries = _queries(grid, rng)
+            for table in (arrays.ops, arrays.power):
+                ys = table[0].tolist()
+                batched = _interp_rows(
+                    arrays.load_grid,
+                    np.broadcast_to(table, (len(queries), len(grid))),
+                    np.array(queries),
+                )
+                for u, expected in zip(queries, batched.tolist()):
+                    row = _interp_row(grid, ys, u)
+                    assert _bits(row) == _bits(expected), (server.result_id, u)
+                    assert _bits(row) == _bits(np.interp(u, grid, ys))
+
+    def test_zero_capacity_row_guards(self, random_servers):
+        dead = FleetArrays.from_records([random_servers[0]])
+        grid, ops = dead.load_grid.tolist(), dead.ops[0].tolist()
+        assert dead.full_capacity[0] == 0.0
+        assert _invert_row(grid, ops, 5.0) == 1.0
+        assert _invert_row(grid, ops, 0.0) == 0.0
+        assert _invert_row(grid, ops, -1.0) == 0.0
+        assert _bits(_invert_row(grid, ops, 5.0)) == _bits(
+            _utilization_for(random_servers[0], 5.0)
+        )
+
+
+class TestCorpusRows:
+    @pytest.fixture(scope="class")
+    def arrays(self, corpus):
+        return FleetArrays.from_records(corpus.results())
+
+    @pytest.mark.parametrize(
+        "fraction", [-0.5, 0.0, 0.013, 0.37, 0.7, 0.999, 1.0, 1.25]
+    )
+    def test_invert_row_matches_bisect_rows(self, arrays, fraction):
+        targets = arrays.full_capacity * fraction
+        batched = _bisect_rows(arrays.load_grid, arrays.ops, targets).tolist()
+        grid = arrays.load_grid.tolist()
+        for row, (target, expected) in enumerate(zip(targets.tolist(), batched)):
+            got = _invert_row(grid, arrays.ops[row].tolist(), target)
+            assert _bits(got) == _bits(expected), (row, target)
+
+    def test_spot_capacity_inverts_like_the_scalar_oracle(self, corpus, arrays):
+        grid = arrays.load_grid.tolist()
+        batched = _bisect_rows(
+            arrays.load_grid, arrays.ops, arrays.spot_capacity
+        ).tolist()
+        for row, server in enumerate(arrays.records):
+            spot = float(arrays.spot_capacity[row])
+            assert spot == throughput_at(server, server.primary_peak_spot)
+            got = _invert_row(grid, arrays.ops[row].tolist(), spot)
+            assert _bits(got) == _bits(batched[row])
+            assert _bits(got) == _bits(_utilization_for(server, spot))
+
+    def test_interp_row_matches_interp_rows(self, arrays):
+        rng = np.random.default_rng(5)
+        grid = arrays.load_grid.tolist()
+        for u in _queries(grid, rng):
+            for table in (arrays.ops, arrays.power):
+                batched = _interp_rows(arrays.load_grid, table, u).tolist()
+                for row, expected in enumerate(batched):
+                    got = _interp_row(grid, table[row].tolist(), u)
+                    assert _bits(got) == _bits(expected), (row, u)

@@ -18,7 +18,7 @@ import pytest
 from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.batch_trace import BatchTraceReplay
 from repro.cluster.engines import (
-    SHARDED_AUTO_THRESHOLD,
+    SHARDED_THRESHOLD,
     fleet_engine,
     trace_replayer,
 )
@@ -369,7 +369,7 @@ class TestBackendRouting:
         assert isinstance(fleet_engine(view10k), BatchPlacementEngine)
 
     def test_auto_goes_sharded_for_large_views(self, base):
-        view = tile_fleet(base, SHARDED_AUTO_THRESHOLD, lazy=True)
+        view = tile_fleet(base, SHARDED_THRESHOLD, lazy=True)
         assert isinstance(fleet_engine(view), ShardedFleetEngine)
 
     def test_trace_backend_types(self, base):
@@ -378,7 +378,8 @@ class TestBackendRouting:
             trace_replayer(ShardedFleetEngine(view)), ShardedTraceReplay
         )
         assert isinstance(trace_replayer(fleet_engine(view)), BatchTraceReplay)
-        assert trace_replayer(fleet_engine(base[:5])) is None
+        assert isinstance(trace_replayer(fleet_engine(base[:5])), BatchTraceReplay)
+        assert trace_replayer(fleet_engine([])) is None
 
 
 class TestSchedulerStubs:
