@@ -70,9 +70,9 @@ CEILINGS = {
 MIN_CHECKS_WARM_SPEEDUP = 5.0
 
 #: Fixed peak-RSS budget (MiB) for the million-server sharded replay.
-#: The windowed out-of-core design keeps residency at the spilled
-#: column maps plus one window of scalars, so the peak is a property
-#: of the tier, not of trace length; measured ~280 MiB, budgeted 4x.
+#: The out-of-core design keeps residency at the spilled column maps
+#: plus a few per-step scalars, so the peak is a property of the
+#: tier, not of trace length; measured ~280 MiB, budgeted 4x.
 MAX_FLEET_1M_RSS_MB = 1024.0
 
 #: Minimum columnar-over-scalar speedup --check demands on the

@@ -6,7 +6,7 @@ then asserts the tier's two load-bearing contracts:
 
 * **byte-identity** -- every sharded placement summary (both policies,
   idle and power-off accounting, a demand sweep, the power-cap search)
-  and a windowed trace replay equal the columnar engine's reductions
+  and a trace replay equal the columnar engine's reductions
   float for float, int for int;
 * **routing** -- ``fleet_engine`` sends a view this large to the
   sharded engine, and the lazy view itself stays O(base) (no
@@ -105,9 +105,9 @@ def main(argv) -> int:
                 )
     print("cap search: done", flush=True)
 
-    # Windowed replay vs the columnar day loop.
+    # Sharded replay vs the columnar replay.
     trace = diurnal_trace(steps_per_day=24, noise=0.05, seed=11)
-    sharded_replay = ShardedTraceReplay(routed, window_steps=7)
+    sharded_replay = ShardedTraceReplay(routed)
     batch_replay = BatchTraceReplay(columnar)
     for policy in ("pack-to-full", "ep-aware"):
         ours = sharded_replay.replay(trace, policy)
@@ -116,7 +116,7 @@ def main(argv) -> int:
             failures.append(
                 f"replay diverged for {policy}: {ours} != {theirs}"
             )
-    print("windowed replay: done", flush=True)
+    print("replay: done", flush=True)
 
     if failures:
         for failure in failures:

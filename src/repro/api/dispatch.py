@@ -507,20 +507,12 @@ def _handle_group(request: GroupQuery, context: QueryContext) -> Built:
 
 
 def _fleet_capacity(fleet) -> float:
-    from repro.cluster.fleet_arrays import TiledFleetView
+    from repro.cluster.fleet_arrays import TiledFleetView, streamed_level_capacity
 
-    if isinstance(fleet, TiledFleetView):
-        # Stream the fold over base-cycle repeats instead of cloning a
-        # million records; bit-identical to the flat generator sum.
-        from repro.cluster.sharded import streamed_level_capacity
-
-        return streamed_level_capacity(fleet.base, len(fleet))
-    return sum(
-        level.ssj_ops
-        for server in fleet
-        for level in server.levels
-        if level.target_load == 1.0
-    )
+    # A tiled view folds over base-cycle repeats instead of cloning a
+    # million records.
+    records = fleet.base if isinstance(fleet, TiledFleetView) else fleet
+    return streamed_level_capacity(records, len(fleet))
 
 
 def _outcome_payload(outcome) -> Dict[str, Any]:

@@ -6,8 +6,13 @@ the :mod:`repro.serve` daemon -- builds one of these requests and
 hands it to :func:`repro.api.dispatch.execute`.  A request is a frozen
 dataclass with explicit ``seed`` / ``format`` fields, validated at
 construction, so there is exactly one place where argument plumbing
-and defaulting happen.  No request names a fleet engine: the cluster
-layer picks one per fleet, and provenance reports which one ran.
+and defaulting happen.  Validation starts from the field annotations:
+a value of the wrong type (``bool`` for a number, ``2.5`` for an int,
+``"0.5"`` for a float, ``None`` for a non-``Optional`` field) or a
+non-finite float is refused with ``ValueError`` -- never coerced, so a
+valid request's spec key is exactly what the caller sent.  No request
+names a fleet engine: the cluster layer picks one per fleet, and
+provenance reports which one ran.
 
 Identity: :func:`canonical_spec` renders the request as canonical JSON
 *excluding* ``format`` (a rendering preference).  The spec hash
@@ -17,8 +22,10 @@ and its response memo.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
@@ -33,6 +40,15 @@ METRICS = ("ep", "score", "peak_ee", "idle_fraction", "memory_per_core_gb")
 
 #: Groupings the group family understands.
 GROUP_KEYS = ("family", "codename", "memory_per_core")
+
+#: Field annotation -> the Python types its values may have.  ``bool``
+#: is an ``int`` subclass, so it is refused for every non-bool field.
+_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "bool": (bool,),
+}
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,8 @@ class QueryRequest:
     format: str = "text"
 
     def __post_init__(self) -> None:
+        for name, kind, optional in _field_kinds(type(self)):
+            _check_type(name, kind, optional, getattr(self, name))
         if self.format not in FORMATS:
             raise ValueError(
                 f"unknown format {self.format!r}; choose from {list(FORMATS)}"
@@ -83,6 +101,32 @@ class QueryRequest:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_kinds(cls: type) -> Tuple[Tuple[str, str, bool], ...]:
+    """``(name, kind, optional)`` of each field, read off its annotation."""
+    kinds = []
+    for f in fields(cls):
+        optional = f.type.startswith("Optional[")
+        kind = f.type[len("Optional["):-1] if optional else f.type
+        kinds.append((f.name, kind, optional))
+    return tuple(kinds)
+
+
+def _check_type(name: str, kind: str, optional: bool, value: Any) -> None:
+    """Refuse a field value its annotation does not admit, or a NaN/inf."""
+    if value is None:
+        if not optional:
+            raise ValueError(f"{name} must not be null")
+    elif not isinstance(value, _FIELD_TYPES[kind]) or (
+        kind != "bool" and isinstance(value, bool)
+    ):
+        raise ValueError(
+            f"{name} must be of type {kind}, got {type(value).__name__}"
+        )
+    elif kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

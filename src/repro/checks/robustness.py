@@ -28,8 +28,8 @@ patterns that silently defeat it:
 * REP505 — a ``multiprocessing.shared_memory.SharedMemory`` segment
   created (or attached) outside a context manager, in a scope with no
   ``try``/``finally`` that calls ``.close()``/``.unlink()``, leaks a
-  kernel object past the process: the sharded fleet engine's
-  broadcast/attach discipline is reclaim-on-every-path.  A segment
+  kernel object past the process: the serve engine workers'
+  publish/attach discipline is reclaim-on-every-path.  A segment
   that *escapes* its creating scope — returned, yielded, stored on
   ``self``, or passed onward — is exempt here: the obligation moves
   with it, and the REP51x lifetime family audits the receiving side

@@ -20,10 +20,9 @@ to 100%.
 * :mod:`repro.cluster.batch_placement` /
   :mod:`repro.cluster.batch_trace` -- bit-identical columnar engines
   for placement, job scheduling, and trace replay;
-* :mod:`repro.cluster.sharded` -- the sharded, shared-memory,
-  out-of-core tier: million-server fleets streamed shard by shard,
-  replayed window by window, still bit-identical to the columnar
-  engine;
+* :mod:`repro.cluster.sharded` -- the sharded, out-of-core tier:
+  million-server fleets streamed shard by shard through the same day
+  loop and cap search, still bit-identical to the columnar engine;
 * :mod:`repro.cluster.engines` -- :func:`fleet_engine`, the one place
   that picks scalar loops, columnar, or sharded for a fleet, by its
   shape and size alone (there is no user-facing switch).

@@ -48,6 +48,38 @@ from repro.cluster.placement import Assignment, PlacementOutcome
 _ROW_KERNEL_MAX = 8
 
 
+def cap_search(
+    engine,
+    total_capacity: float,
+    power_cap_w: float,
+    policy: str,
+    power_off_unused: bool,
+) -> float:
+    """The largest probed demand a fleet engine serves under the cap.
+
+    The one cap bisection of the fleet engines: 40 halvings of
+    ``[0, total_capacity]`` that probe ``engine.place_totals`` -- the
+    same two reductions the outcome's ``total_power_w`` and
+    ``satisfied`` run -- so the caller materializes one outcome, at
+    the returned demand.  ``low`` moves exactly when a probe fits, so
+    ``place(policy, low)`` is the best fitting probe's outcome, and
+    the demand-0 outcome when none fits.
+    """
+    if power_cap_w <= 0.0:
+        raise ValueError("power cap must be positive")
+    if policy not in ("ep-aware", "pack-to-full"):
+        raise ValueError(f"unknown policy {policy!r}")
+    low, high = 0.0, total_capacity
+    for _ in range(40):
+        mid = 0.5 * (low + high)
+        placed, power = engine.place_totals(policy, mid, power_off_unused)
+        if power <= power_cap_w and placed >= mid * (1.0 - 1e-6):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 class BatchPlacementEngine:
     """Vectorized placement/scheduling policies, built once per fleet.
 
@@ -276,22 +308,9 @@ class BatchPlacementEngine:
         power_off_unused: bool = False,
     ) -> PlacementOutcome:
         """Columnar ``max_throughput_under_cap``; identical outcome."""
-        if power_cap_w <= 0.0:
-            raise ValueError("power cap must be positive")
-        if policy not in ("ep-aware", "pack-to-full"):
-            raise ValueError(f"unknown policy {policy!r}")
-        total_capacity = sum(self._full_cap)
-        low, high = 0.0, total_capacity
-        # Probe on the two totals (the same reductions the outcome's
-        # properties and ``satisfied`` run), then materialize only the
-        # best demand: ``low`` moves exactly when a probe fits.
-        for _ in range(40):
-            mid = 0.5 * (low + high)
-            placed, power = self.place_totals(policy, mid, power_off_unused)
-            if power <= power_cap_w and placed >= mid * (1.0 - 1e-6):
-                low = mid
-            else:
-                high = mid
+        low = cap_search(
+            self, sum(self._full_cap), power_cap_w, policy, power_off_unused
+        )
         return self.place(policy, low, power_off_unused)
 
     # -- job scheduling (jobs.py twin) -------------------------------------------
@@ -349,17 +368,3 @@ class BatchPlacementEngine:
             pending = spill
         schedule.unplaced.extend(job.job_id for job in pending)
         return schedule
-
-    def schedule_power_w(self, schedule) -> float:
-        """Vectorized ``Schedule.total_power_w``; identical float.
-
-        One batched utilization inversion plus one batched power
-        evaluation over the fleet replaces the scalar property's
-        per-server 50-iteration bisections.
-        """
-        loads = np.array(
-            [schedule.loads_ops.get(result_id, 0.0) for result_id in self.arrays.ids]
-        )
-        utils = self.arrays.utilization_for(loads)
-        powers = self.arrays.power_at(utils)
-        return sum(powers.tolist())

@@ -18,7 +18,7 @@ scalar interpolations that way.
   metrics, so they are bit-identical to the per-record properties.
 
 The batched kernels (:meth:`power_at`, :meth:`throughput_at`,
-:meth:`utilization_for`, :meth:`capacity`) broadcast over servers and
+:meth:`utilization_for`, :meth:`capacity`) vectorize over servers and
 timesteps and replicate ``np.interp``'s C arithmetic *exactly* --
 index by ``searchsorted(side="right") - 1`` clipped to the last
 segment, ``slope * (u - x0) + y0``, right endpoint returned verbatim
@@ -62,8 +62,8 @@ def _interp_rows(
     """``np.interp(u, grid, table[i])`` for every row ``i``, bitwise.
 
     ``table`` is ``(M, K)``; ``u`` is scalar (one query shared by all
-    rows), ``(M,)`` (one query per row), or ``(M, T)`` (a query matrix
-    broadcasting rows against timesteps).  Replicates the exact IEEE
+    rows), ``(M,)`` (one query per row), or ``(M, T)`` (a query matrix,
+    rows against timesteps).  Replicates the exact IEEE
     arithmetic of numpy's compiled interp loop, including the verbatim
     right-endpoint return (the clamped-segment formula differs from it
     by one ulp).
@@ -94,9 +94,7 @@ def _interp_rows(
     res = (y1 - y0) / (x1 - x0) * (u - x0) + y0
     right = u >= grid[-1]
     if right.any():
-        last = table[:, -1] if u.ndim == 1 else np.broadcast_to(
-            table[:, -1:], res.shape
-        )
+        last = table[:, -1] if u.ndim == 1 else table[:, -1:]
         res = np.where(right, last, res)
     return res
 
@@ -123,7 +121,7 @@ def _bisect_rows(
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim == 0:
-        target = np.broadcast_to(target, (table.shape[0],))
+        target = np.full(table.shape[0], target)
     cap = table[:, -1] if target.ndim == 1 else table[:, -1:]
     res = np.where(target >= cap, 1.0, 0.0)
     res = np.where(target <= 0.0, 0.0, res)
@@ -461,3 +459,37 @@ def tile_fleet(
     for index in range(count):
         tiled.append(_tile_record(base, index))
     return tiled
+
+
+def streamed_level_capacity(
+    records: Sequence[SpecPowerResult], count: int
+) -> float:
+    """Full-load ``ssj_ops`` capacity of ``records`` tiled to ``count``.
+
+    The one capacity fold of the fleet engines and the query API: the
+    day loop scales its demand fractions by it.  Bit-identical to the
+    scalar ``sum(level.ssj_ops for server in fleet for level in
+    server.levels if level.target_load == 1.0)`` over the tiled fleet
+    (the raw level lists, not an assumed 100%-load grid point), without
+    materializing a single clone: the flat value sequence is one base
+    cycle repeated, and the builtin ``sum`` started from the running
+    total continues the same sequential fold cycle by cycle (from the
+    int ``0``, so an empty fleet's capacity is the int ``0`` too).
+    """
+
+    def full_load_ops(stop: int) -> List[float]:
+        return [
+            level.ssj_ops
+            for record in records[:stop]
+            for level in record.levels
+            if level.target_load == 1.0
+        ]
+
+    if not records:
+        return 0
+    repeats, remainder = divmod(count, len(records))
+    cycle = full_load_ops(len(records))
+    total = 0
+    for _ in range(repeats):
+        total = sum(cycle, total)
+    return sum(full_load_ops(remainder), total)

@@ -133,10 +133,10 @@ def replay_trace(
     """Integrate fleet energy while serving the trace under a policy.
 
     Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
-    engine replay through its bit-identical twin (columnar
-    :class:`~repro.cluster.batch_trace.BatchTraceReplay` or windowed
+    engine replay through the engines' bit-identical day loop
+    (:class:`~repro.cluster.batch_trace.BatchTraceReplay` or
     :class:`~repro.cluster.sharded.ShardedTraceReplay`); the rest run
-    the scalar day loop.
+    the scalar one.
     """
     replayer = _replayer(fleet)
     if replayer is not None:

@@ -14,7 +14,6 @@ site                where it fires
 ``cache.read``      inside :meth:`ArtifactCache.get <repro.core.cache.ArtifactCache.get>`
 ``cache.write``     inside :meth:`ArtifactCache.put <repro.core.cache.ArtifactCache.put>`
 ``ensemble.worker``  on dispatch of one ensemble seed worker
-``shard.worker``    on dispatch of one sharded replay step worker
 ``dataset.io``      inside :func:`load_corpus <repro.dataset.io.load_corpus>` / ``save_corpus``
 ``serve.handler``   at the top of the daemon's query handler (event loop)
 ``serve.engine``    just before the serve layer runs ``execute()`` for a query
@@ -71,7 +70,6 @@ KNOWN_SITES = (
     "cache.read",
     "cache.write",
     "ensemble.worker",
-    "shard.worker",
     "dataset.io",
     "serve.handler",
     "serve.engine",

@@ -18,10 +18,8 @@ like a standard inference server:
   (:meth:`~repro.dataset.columns.CorpusColumns.attach_spilled`), so all
   workers and the parent share one set of physical pages.  Where the
   spill root is unusable the matrices travel as
-  ``multiprocessing.shared_memory`` segments instead, through the same
-  publish/attach helpers the sharded fleet tier uses
-  (:func:`repro.cluster.sharded.publish_shm_arrays` /
-  :func:`~repro.cluster.sharded.attached_shm_arrays`);
+  ``multiprocessing.shared_memory`` segments instead
+  (:func:`publish_shm_arrays` / :func:`attached_shm_arrays`);
 * **sticky routing** — requests are routed by spec key
   (``crc32(key) % N``), so identical specs always land on the same
   worker and its per-context memoized engines stay hot; batch groups
@@ -53,12 +51,15 @@ import os
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from multiprocessing import shared_memory
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.api.dispatch import QueryContext, execute
 from repro.api.requests import QueryRequest
 from repro.api.result import QueryResult
-from repro.cluster.sharded import attached_shm_arrays, publish_shm_arrays
 from repro.core import faults
 from repro.core.cache import ArtifactCache
 from repro.core.resilience import RetryPolicy, TransientError
@@ -76,6 +77,82 @@ _STOP_JOIN_S = 5.0
 
 #: The corpus curve matrices the parent publishes and workers attach.
 _MATRIX_NAMES = ("load_grid", "power_matrix", "ops_matrix")
+
+
+def publish_shm_arrays(
+    named: Dict[str, np.ndarray],
+) -> Tuple[Dict[str, Tuple[str, Tuple[int, ...], str]],
+           List[shared_memory.SharedMemory]]:
+    """Copy named arrays into fresh shared-memory segments.
+
+    Returns ``(blocks, segments)``: ``blocks`` maps each name to the
+    ``(segment name, shape, dtype)`` triple that
+    :func:`attached_shm_arrays` re-opens zero-copy in another process,
+    and ``segments`` are the live handles the *caller* must close and
+    unlink when the audience is gone.  On a mid-publication failure
+    every already-created segment is reclaimed before the error
+    propagates, so a partial publish can never leak kernel objects.
+    """
+    blocks: Dict[str, Tuple[str, Tuple[int, ...], str]] = {}
+    segments: List[shared_memory.SharedMemory] = []
+    try:
+        for name, array in named.items():
+            array = np.ascontiguousarray(array)
+            segment = shared_memory.SharedMemory(
+                create=True, size=max(1, array.nbytes)
+            )
+            segments.append(segment)
+            view = np.ndarray(
+                array.shape, dtype=array.dtype, buffer=segment.buf
+            )
+            view[...] = array
+            del view
+            blocks[name] = (segment.name, array.shape, array.dtype.str)
+    except BaseException:
+        for segment in segments:
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+        raise
+    return blocks, segments
+
+
+@contextmanager
+def attached_shm_arrays(
+    blocks: Dict[str, Tuple[str, Tuple[int, ...], str]],
+) -> Iterator[Dict[str, np.ndarray]]:
+    """Attach published segments as named array views, detach on exit.
+
+    The inverse of :func:`publish_shm_arrays`, runnable in any process
+    that can see the segment names: yields zero-copy views over the
+    parent's pages and closes every attached segment in the
+    ``finally``, so an attaching worker can never leak one whatever
+    its work does.
+    """
+    segments: List[shared_memory.SharedMemory] = []
+    arrays: Dict[str, np.ndarray] = {}
+    try:
+        for name, (segment_name, shape, dtype) in blocks.items():
+            # Attaching re-registers the name with the resource
+            # tracker (a set add, so a no-op: child processes share
+            # the parent's tracker and the parent registered the
+            # segment at creation); the parent's unlink unregisters
+            # it exactly once.
+            segment = shared_memory.SharedMemory(name=segment_name)
+            segments.append(segment)
+            arrays[name] = np.ndarray(
+                shape, dtype=np.dtype(dtype), buffer=segment.buf
+            )
+        yield arrays
+    finally:
+        arrays.clear()
+        for segment in segments:
+            try:
+                segment.close()
+            except BufferError:  # a view outlived the scope; leave it
+                pass
 
 
 class WorkerDied(Exception):
@@ -251,7 +328,7 @@ class EngineWorkerPool:
             self._transport = ("spill", str(self.spill.root))
         except OSError:
             # unusable spill root (read-only tmp): ship the matrices as
-            # shared-memory segments instead, the sharded tier's way
+            # shared-memory segments instead
             named = {
                 "load_grid": columns.load_grid(),
                 "power_matrix": columns.power_matrix(),

@@ -87,6 +87,79 @@ class TestValidation:
             build()
 
 
+#: One mistyped wire payload per family (and per kind of mistake):
+#: bools for numbers, floats for ints, strings for numbers, nulls for
+#: non-Optional fields.
+MISTYPED = [
+    ({"family": "list", "seed": "2016"}, "seed"),
+    ({"family": "artifact", "artifact_id": 3}, "artifact_id"),
+    ({"family": "stats", "hw_year_min": 2013.0}, "hw_year_min"),
+    ({"family": "stats", "metric": None}, "metric"),
+    ({"family": "cdf", "lo": "0.1", "hi": 0.5}, "lo"),
+    ({"family": "cdf", "lo": 0.1, "hi": True}, "hi"),
+    ({"family": "group", "by": ["family"]}, "by"),
+    ({"family": "placement", "servers": True}, "servers"),
+    ({"family": "placement", "servers": 2.5}, "servers"),
+    ({"family": "placement", "demand_fraction": "0.5"}, "demand_fraction"),
+    ({"family": "placement", "power_off_unused": 1}, "power_off_unused"),
+    ({"family": "cap", "power_cap_w": "500", "servers": 20}, "power_cap_w"),
+    ({"family": "cap", "power_cap_w": 500.0, "servers": False}, "servers"),
+    ({"family": "replay", "steps": 4.5}, "steps"),
+    ({"family": "replay", "servers": None}, "servers"),
+    ({"family": "sweep", "server": 4.0}, "server"),
+    ({"family": "ensemble", "seeds": "5"}, "seeds"),
+    ({"family": "ensemble", "per_seed": "yes"}, "per_seed"),
+    ({"family": "generate", "out": None}, "out"),
+    ({"family": "validate", "path": 7}, "path"),
+    ({"family": "report", "out": 1}, "out"),
+    ({"family": "run_all", "retry": 1.5}, "retry"),
+    ({"family": "run_all", "timeout_s": "30"}, "timeout_s"),
+    ({"family": "cache", "cache_dir": 0}, "cache_dir"),
+]
+
+
+class TestFieldTypes:
+    def test_every_family_has_a_mistyped_case(self):
+        assert {payload["family"] for payload, _ in MISTYPED} == set(FAMILIES)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        MISTYPED,
+        ids=[f"{payload['family']}-{field}" for payload, field in MISTYPED],
+    )
+    def test_mistyped_field_is_a_value_error(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            request_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            '{"family": "cap", "power_cap_w": Infinity, "servers": 20}',
+            '{"family": "cap", "power_cap_w": NaN, "servers": 20}',
+            '{"family": "cdf", "lo": -Infinity, "hi": 0.5}',
+            '{"family": "cdf", "lo": 0.1, "hi": Infinity}',
+            '{"family": "placement", "demand_fraction": NaN}',
+            '{"family": "run_all", "timeout_s": Infinity}',
+        ],
+    )
+    def test_non_finite_floats_rejected(self, wire):
+        with pytest.raises(ValueError, match="finite"):
+            request_from_dict(json.loads(wire))
+
+    def test_well_typed_values_are_kept_verbatim(self):
+        # An int is a valid float and None a valid Optional; neither is
+        # coerced, so the spec key is exactly what was sent.
+        cap = request_from_dict(
+            {"family": "cap", "power_cap_w": 500, "servers": 20}
+        )
+        assert type(cap.power_cap_w) is int
+        assert '"power_cap_w":500,' in canonical_spec(cap)
+        cdf = request_from_dict({"family": "cdf", "lo": 0, "hi": 1})
+        assert '"hi":1,"lo":0,' in canonical_spec(cdf)
+        assert StatsQuery(hw_year_min=None).hw_year_min is None
+        assert RunAllQuery(timeout_s=30).timeout_s == 30
+
+
 class TestWireForm:
     def test_round_trip_through_to_dict(self):
         request = ReplayQuery(servers=30, steps=8, policy="pack-to-full")

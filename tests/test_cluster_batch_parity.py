@@ -332,10 +332,6 @@ class TestSchedulerParity:
             self._schedules_equal(scalar, twin.schedule(scheduler.name, small_jobs))
             self._schedules_equal(scalar, routed_small[scheduler.name])
 
-    def test_schedule_power_w_matches_property(self, fleet, engine, jobs):
-        schedule = FirstFitDecreasing()._schedule_scalar(fleet, jobs)
-        assert engine.schedule_power_w(schedule) == schedule.total_power_w
-
 
 class TestReplayParity:
     @pytest.fixture(scope="class")
@@ -532,7 +528,7 @@ class TestSmallFleetParity:
         scalar = scheduler()._schedule_scalar(small, jobs)
         columnar = engine.schedule(scheduler.name, jobs)
         assert _schedule_json(
-            columnar, engine.schedule_power_w(columnar)
+            columnar, columnar.total_power_w
         ) == _schedule_json(scalar, scalar.total_power_w)
 
     def test_many_open_rows_take_the_batched_path(self, fleet):

@@ -5,12 +5,9 @@ held to: on overlapping scales the sharded summaries must equal the
 columnar reductions float for float (same sequential sum order, same
 int-vs-float zero types), with no tolerances anywhere in this file.
 On top of that this suite pins the tier's own surface: the lazy
-``TiledFleetView``, the eager-tiling memory budget, the column spill
-store, the ``shard.worker`` fault site, and the windowed pooled
-replay's serial == pooled equivalence.
+``TiledFleetView``, the eager-tiling memory budget, and the column
+spill store.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +34,6 @@ from repro.cluster.sharded import (
     streamed_level_capacity,
 )
 from repro.cluster.trace import diurnal_trace
-from repro.core.faults import FaultPlan, FaultSpec, install
-from repro.core.resilience import TransientError
 from repro.dataset.columns import ColumnSpillStore
 
 
@@ -115,11 +110,30 @@ class TestPlacementParity:
             )
 
     @pytest.mark.parametrize("policy", ["pack-to-full", "ep-aware"])
-    def test_cap_search_matches_columnar(self, columnar, sharded, policy):
-        for cap_w in (5e4, 2e5, 1e6):
-            ours = sharded.max_throughput_under_cap(cap_w, policy)
-            theirs = columnar.max_throughput_under_cap(cap_w, policy)
-            assert _summary_key(ours) == _summary_key(theirs)
+    def test_cap_search_matches_columnar(
+        self, columnar, sharded, capacity, policy
+    ):
+        idle_w = columnar.place(policy, 0.0).total_power_w
+        full_w = columnar.place(policy, capacity).total_power_w
+        # Under the zero-demand idle power, three interior caps, and
+        # over full-load power; with and without powering idle
+        # servers off.
+        for cap_w in (0.5 * idle_w, 5e4, 2e5, 1e6, 2.0 * full_w):
+            for power_off in (False, True):
+                ours = sharded.max_throughput_under_cap(
+                    cap_w, policy, power_off
+                )
+                theirs = columnar.max_throughput_under_cap(
+                    cap_w, policy, power_off
+                )
+                assert _summary_key(ours) == _summary_key(theirs)
+        # No probe fits under the idle power: the demand-0 outcome,
+        # int zeros included.
+        starved = sharded.max_throughput_under_cap(0.5 * idle_w, policy)
+        assert starved.demand_ops == 0.0
+        assert starved.placed_ops == 0 and type(starved.placed_ops) is int
+        roomy = sharded.max_throughput_under_cap(2.0 * full_w, policy)
+        assert roomy.satisfied() and roomy.demand_ops > 0.999 * capacity
 
     def test_negative_demand_raises(self, sharded):
         with pytest.raises(ValueError, match="negative"):
@@ -151,10 +165,10 @@ class TestReplayParity:
 
     @pytest.fixture(scope="class")
     def shard_replay(self, small_view):
-        # Deliberately awkward shard/window sizes: uneven remainders on
-        # both axes exercise the carry paths.
+        # A deliberately awkward shard size: the uneven remainder
+        # exercises the carry paths.
         engine = ShardedFleetEngine(small_view, shard_size=512)
-        return ShardedTraceReplay(engine, window_steps=17)
+        return ShardedTraceReplay(engine)
 
     @pytest.mark.parametrize("policy", ["pack-to-full", "ep-aware"])
     @pytest.mark.parametrize("power_off", [False, True])
@@ -174,28 +188,9 @@ class TestReplayParity:
         assert ours == theirs
         assert list(ours) == list(theirs)
 
-    def test_pooled_equals_serial(self, shard_replay):
-        trace = diurnal_trace(steps_per_day=24, noise=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pooled = shard_replay.replay(trace, "ep-aware", jobs=2)
-        assert pooled == shard_replay.replay(trace, "ep-aware", jobs=1)
-
-    def test_jobs_validation(self, shard_replay):
-        trace = diurnal_trace(steps_per_day=4, noise=0.0)
-        with pytest.raises(ValueError, match="jobs"):
-            shard_replay.replay(trace, jobs=0)
-        with pytest.raises(ValueError, match="step_retries"):
-            shard_replay.replay(trace, step_retries=-1)
-
     def test_unknown_policy_raises(self, shard_replay):
         with pytest.raises(ValueError, match="unknown policy"):
             shard_replay.replay(diurnal_trace(noise=0.0), "noop")
-
-    def test_window_steps_validation(self, base):
-        engine = ShardedFleetEngine(tile_fleet(base, 600, lazy=True))
-        with pytest.raises(ValueError, match="window_steps"):
-            ShardedTraceReplay(engine, window_steps=0)
 
 
 class TestSpill:
@@ -384,45 +379,8 @@ class TestBackendRouting:
 
 class TestSchedulerStubs:
     def test_all_scheduler_entry_points_raise(self, sharded):
-        for call in (
-            lambda: sharded.first_fit_decreasing([]),
-            lambda: sharded.peak_spot_aware([]),
-            lambda: sharded.schedule("first-fit", []),
-            lambda: sharded.schedule_power_w(None),
-        ):
-            with pytest.raises(ValueError, match="columnar"):
-                call()
-
-
-class TestShardWorkerFaults:
-    @pytest.fixture(scope="class")
-    def replay(self, base):
-        engine = ShardedFleetEngine(tile_fleet(base, 600, lazy=True))
-        return ShardedTraceReplay(engine, window_steps=8)
-
-    def test_transient_fault_is_retried_serially(self, replay):
-        trace = diurnal_trace(steps_per_day=12, noise=0.0)
-        clean = replay.replay(trace, "ep-aware")
-        plan = FaultPlan([FaultSpec(site="shard.worker", mode="fail-n",
-                                    times=2)])
-        with install(plan):
-            assert replay.replay(trace, "ep-aware") == clean
-        assert plan.fired("shard.worker") == 2
-
-    def test_exhausted_retries_raise(self, replay):
-        trace = diurnal_trace(steps_per_day=4, noise=0.0)
-        plan = FaultPlan([FaultSpec(site="shard.worker", mode="fail")])
-        with install(plan):
-            with pytest.raises(TransientError):
-                replay.replay(trace, "ep-aware", step_retries=1)
-
-    def test_pooled_fault_is_retried(self, replay):
-        trace = diurnal_trace(steps_per_day=8, noise=0.0)
-        clean = replay.replay(trace, "ep-aware")
-        plan = FaultPlan([FaultSpec(site="shard.worker")])
-        with install(plan):
-            assert replay.replay(trace, "ep-aware", jobs=2) == clean
-        assert plan.fired("shard.worker") == 1
+        with pytest.raises(ValueError, match="columnar"):
+            sharded.schedule("first-fit", [])
 
 
 class TestUtilizationForGuards:

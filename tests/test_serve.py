@@ -257,6 +257,27 @@ class TestDaemonHttp:
         assert b"valid JSON" in response.read()
         connection.close()
 
+    def test_non_finite_and_mistyped_fields_are_400(self, daemon):
+        import http.client
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for body in (
+            b'{"family": "cap", "power_cap_w": Infinity, "servers": 20}',
+            b'{"family": "replay", "servers": 30, "steps": 4.5}',
+        ):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", daemon.port, timeout=30
+            )
+            connection.request("POST", "/query", body=body)
+            response = connection.getresponse()
+            assert response.status == 400
+            # The answer is strict JSON: no Infinity/NaN constants.
+            document = json.loads(response.read(), parse_constant=refuse)
+            assert "error" in document
+            connection.close()
+
     def test_unknown_route_is_404(self, daemon):
         import http.client
 
