@@ -71,9 +71,12 @@ MIN_CHECKS_WARM_SPEEDUP = 5.0
 
 #: Fixed peak-RSS budget (MiB) for the million-server sharded replay.
 #: The out-of-core design keeps residency at the spilled column maps
-#: plus a few per-step scalars, so the peak is a property of the
-#: tier, not of trace length; measured ~280 MiB, budgeted 4x.
-MAX_FLEET_1M_RSS_MB = 1024.0
+#: plus a few per-step scalars, and the spill tier writes each derived
+#: column as it is built instead of holding the whole layout first, so
+#: the peak is a property of the tier, not of trace length; measured
+#: ~115 MiB (~275 MiB when the layout was built resident), budgeted
+#: about 3x.
+MAX_FLEET_1M_RSS_MB = 384.0
 
 #: Minimum columnar-over-scalar speedup --check demands on the
 #: 10k-server trace replay (the scalar side is measured on a truncated
@@ -102,8 +105,10 @@ MIN_COMPUTE_CPUS = 4
 
 #: Ceiling (ms) on a warm 20-server cap query through ``execute``:
 #: 40 totals-only probes plus one materialized outcome, each inverting
-#: only the marginal server (measured ~2 ms; the per-server bisection
-#: it replaced took 24-35 ms, so a regression to it trips this).
+#: only the marginal server (measured ~1 ms with the closed-form
+#: single-row inversion, ~2 ms with 50 plain halvings; the per-server
+#: bisection before that took 24-35 ms, so a regression to it trips
+#: this).
 MAX_CAP_QUERY_20_MS = 15.0
 
 #: Ceiling on the p99 turnaround of a *shed* (503) answer while the

@@ -85,3 +85,37 @@ def decile_shares(cdf: EmpiricalCdf) -> dict:
         if share > 0.0:
             bands[(low, high)] = share
     return bands
+
+
+#: The quantiles a CDF query reports, labelled ``p10`` .. ``p99``.
+LANDMARK_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
+
+
+@dataclass(frozen=True)
+class CdfLandmarks:
+    """A sorted CDF and the landmarks read off it, all immutable.
+
+    Everything here depends only on the sample, so a long-lived query
+    context builds it once per (corpus slice, metric) and each answer
+    copies the tuples into its own dicts and lists.
+    """
+
+    cdf: EmpiricalCdf
+    #: ``(label, value)`` for each of :data:`LANDMARK_QUANTILES`.
+    quantiles: Tuple[Tuple[str, float], ...]
+    #: ``(lo, hi, share)`` for each non-empty band of :func:`decile_shares`.
+    deciles: Tuple[Tuple[float, float, float], ...]
+
+
+def cdf_landmarks(values: Sequence[float]) -> CdfLandmarks:
+    """Sort ``values`` once and read the quantile and decile landmarks."""
+    cdf = empirical_cdf(values)
+    return CdfLandmarks(
+        cdf=cdf,
+        quantiles=tuple(
+            (f"p{int(q * 100)}", cdf.quantile(q)) for q in LANDMARK_QUANTILES
+        ),
+        deciles=tuple(
+            (lo, hi, share) for (lo, hi), share in decile_shares(cdf).items()
+        ),
+    )

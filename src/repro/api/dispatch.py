@@ -9,10 +9,10 @@ wraps the answer in a :class:`~repro.api.result.QueryResult` envelope.
 
 :class:`QueryContext` is the warm state a long-lived process (the
 :mod:`repro.serve` daemon, a REPL session) shares across queries:
-corpora, corpus slices, studies, tiled fleets, fleet engines and
-trace replayers, all memoized under one lock so concurrent executor
-threads build each at most once; the per-cohort memos are a bounded
-LRU.
+corpora, corpus slices, studies, tiled fleets, fleet engines, trace
+replayers, fleet capacities and CDF landmarks, all memoized under one
+lock so concurrent executor threads build each at most once; the
+per-cohort memos are a bounded LRU.
 """
 
 from __future__ import annotations
@@ -106,13 +106,14 @@ class QueryContext:
 
     Everything is memoized under one re-entrant lock: corpora (per
     seed), filtered corpus slices, studies, tiled fleets, fleet engines
-    and trace replayers, diurnal traces, and testbed sweeps.  A single
+    and trace replayers, fleet capacities, CDF landmarks (per slice and
+    metric), diurnal traces, and testbed sweeps.  A single
     context handed to concurrent executor threads builds each of these
     at most once -- which is what makes the daemon's batching window
     collapse a group of compatible fleet queries into one engine
     construction.
 
-    The per-cohort memos (fleet, engine, replayer) share one
+    The per-cohort memos (fleet, engine, replayer, capacity) share one
     least-recently-used order of at most :data:`MAX_COHORTS` cohorts
     and are evicted together, so a stream of distinct ``servers``
     values cannot grow a long-lived daemon without bound.  An evicted
@@ -129,6 +130,8 @@ class QueryContext:
         self._fleets: Dict[FleetKey, List[Any]] = {}
         self._engines: Dict[FleetKey, Any] = {}
         self._replayers: Dict[FleetKey, Any] = {}
+        self._capacities: Dict[FleetKey, float] = {}
+        self._cdfs: Dict[Tuple[int, Optional[int], Optional[int], str], Any] = {}
         self._traces: Dict[int, Any] = {}
         self._sweeps: Dict[int, Any] = {}
 
@@ -188,12 +191,17 @@ class QueryContext:
 
     def _touch(self, key: FleetKey) -> None:
         """Mark ``key`` most recently used; evict the oldest cohort past
-        :data:`MAX_COHORTS` from all three cohort memos at once."""
+        :data:`MAX_COHORTS` from every cohort memo at once."""
         self._cohorts[key] = None
         self._cohorts.move_to_end(key)
         while len(self._cohorts) > MAX_COHORTS:
             oldest, _ = self._cohorts.popitem(last=False)
-            for memo in (self._fleets, self._engines, self._replayers):
+            for memo in (
+                self._fleets,
+                self._engines,
+                self._replayers,
+                self._capacities,
+            ):
                 memo.pop(oldest, None)
 
     def fleet(self, request: QueryRequest) -> List[Any]:
@@ -232,6 +240,28 @@ class QueryContext:
                 self._engines[key] = fleet_engine(self.fleet(request))
             return self._engines[key]
 
+    def fleet_capacity(self, request: QueryRequest) -> float:
+        """The full-load capacity of :meth:`fleet`, folded once per cohort."""
+        key = self.fleet_key(request)
+        with self._lock:
+            self._touch(key)
+            if key not in self._capacities:
+                from repro.cluster.fleet_arrays import (
+                    TiledFleetView,
+                    streamed_level_capacity,
+                )
+
+                fleet = self.fleet(request)
+                # A tiled view folds over base-cycle repeats instead of
+                # cloning a million records.
+                records = (
+                    fleet.base if isinstance(fleet, TiledFleetView) else fleet
+                )
+                self._capacities[key] = streamed_level_capacity(
+                    records, len(fleet)
+                )
+            return self._capacities[key]
+
     def replayer(self, request: QueryRequest) -> Optional[Any]:
         """The trace replayer over :meth:`engine`, or ``None`` (memoized)."""
         key = self.fleet_key(request)
@@ -242,6 +272,23 @@ class QueryContext:
 
                 self._replayers[key] = trace_replayer(self.engine(request))
             return self._replayers[key]
+
+    def cdf_landmarks(self, request: QueryRequest) -> Any:
+        """The sorted CDF of the request's metric over its corpus slice,
+        with its quantile and decile landmarks (memoized)."""
+        key = (
+            request.seed,
+            getattr(request, "hw_year_min", None),
+            getattr(request, "hw_year_max", None),
+            request.metric,
+        )
+        with self._lock:
+            if key not in self._cdfs:
+                from repro.analysis.cdf import cdf_landmarks
+
+                values = _metric_values(request, self)
+                self._cdfs[key] = cdf_landmarks(values.tolist())
+            return self._cdfs[key]
 
     def trace(self, steps: int) -> Any:
         """The deterministic diurnal trace with ``steps`` steps."""
@@ -433,30 +480,26 @@ def _handle_stats(request: StatsQuery, context: QueryContext) -> Built:
 @handler(CdfQuery)
 def _handle_cdf(request: CdfQuery, context: QueryContext) -> Built:
     """Empirical-CDF quantiles, decile bands, optional [lo, hi) share."""
-    from repro.analysis.cdf import decile_shares, empirical_cdf
-
-    values = _metric_values(request, context)
-    cdf = empirical_cdf(values.tolist())
-    quantiles = {
-        f"p{int(q * 100)}": cdf.quantile(q)
-        for q in (0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
-    }
+    landmarks = context.cdf_landmarks(request)
+    count = len(landmarks.cdf.sorted_values)
+    # Fresh dicts and lists per answer: the memoized landmarks are shared.
+    quantiles = dict(landmarks.quantiles)
     deciles = [
         {"lo": lo, "hi": hi, "share": share}
-        for (lo, hi), share in decile_shares(cdf).items()
+        for lo, hi, share in landmarks.deciles
     ]
     payload: Dict[str, Any] = {
         "metric": request.metric,
-        "count": len(values),
+        "count": count,
         "quantiles": quantiles,
         "deciles": deciles,
     }
-    lines = [f"{request.metric} CDF over {len(values)} result(s):"]
+    lines = [f"{request.metric} CDF over {count} result(s):"]
     lines.append(
         "  " + "  ".join(f"{k} {v:.4f}" for k, v in quantiles.items())
     )
     if request.lo is not None and request.hi is not None:
-        share = cdf.share_in(request.lo, request.hi)
+        share = landmarks.cdf.share_in(request.lo, request.hi)
         payload["band"] = {"lo": request.lo, "hi": request.hi, "share": share}
         lines.append(
             f"  share in [{request.lo:g}, {request.hi:g}): {share:.2%}"
@@ -506,15 +549,6 @@ def _handle_group(request: GroupQuery, context: QueryContext) -> Built:
     return Built(payload=payload, text=text)
 
 
-def _fleet_capacity(fleet) -> float:
-    from repro.cluster.fleet_arrays import TiledFleetView, streamed_level_capacity
-
-    # A tiled view folds over base-cycle repeats instead of cloning a
-    # million records.
-    records = fleet.base if isinstance(fleet, TiledFleetView) else fleet
-    return streamed_level_capacity(records, len(fleet))
-
-
 def _outcome_payload(outcome) -> Dict[str, Any]:
     return {
         "policy": outcome.policy,
@@ -534,7 +568,7 @@ def _handle_placement(request: PlacementQuery, context: QueryContext) -> Built:
     from repro.cluster.placement import _POLICIES
 
     fleet = context.fleet(request)
-    demand = request.demand_fraction * _fleet_capacity(fleet)
+    demand = request.demand_fraction * context.fleet_capacity(request)
     engine = context.engine(request)
     if engine is not None:
         if request.policy == "ep-aware":

@@ -19,7 +19,11 @@ at all: every ranked server but the marginal one takes exactly its
 spot or full capacity, whose answers are known from construction, so
 a placement inverts only the rows left open (typically one) through
 the single-row kernels, and the power-cap search probes on totals
-and materializes one outcome.
+and materializes one outcome.  The single-row inversion
+(:func:`~repro.cluster.fleet_arrays._invert_row`) itself runs only the
+first few of the 50 halvings; once the interval sits inside one grid
+segment it solves the rest in closed form, bit-identical to halving
+on.
 
 Which fleets reach this engine is decided in one place,
 :func:`repro.cluster.engines.fleet_engine`: every fleet the columns
@@ -209,9 +213,10 @@ class BatchPlacementEngine:
     ) -> Tuple[List[float], List[float]]:
         """(utilizations, powers) of rows ``index`` serving ``takes``.
 
-        The exact scalar pipeline -- 50-iteration bisection, then the
-        power interpolation -- one row at a time through the
-        single-row kernels when there are few rows, batched otherwise.
+        The exact scalar pipeline -- the 50-iteration bisection's
+        answer, then the power interpolation -- one row at a time
+        through the single-row kernels (closed-form inversion) when
+        there are few rows, batched otherwise.
         """
         arrays = self.arrays
         if index.size > _ROW_KERNEL_MAX:

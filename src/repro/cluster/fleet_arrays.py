@@ -28,10 +28,16 @@ segment, ``slope * (u - x0) + y0``, right endpoint returned verbatim
 scalar paths, not approximations of them.  :func:`_interp_row` and
 :func:`_invert_row` are the same arithmetic for one row in plain
 Python floats, for the marginal server a placement leaves open.
+:func:`_invert_row` runs the 50-halving bisection only until its
+interval lies inside one grid segment (a handful of halvings), then
+finds the bisection's final interval in closed form on that segment's
+line -- the same answer bit for bit from a few interpolations instead
+of 50.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
@@ -117,7 +123,8 @@ def _bisect_rows(
     ``table`` is ``(M, K)``; ``target`` is scalar, ``(M,)``, or
     ``(M, T)``.  Behind :meth:`FleetArrays.utilization_for`, and
     called directly by the columnar engine on a subset of rows;
-    :func:`_invert_row` is the same arithmetic for a single row.
+    :func:`_invert_row` is the same answer for a single row, and the
+    reference its closed-form finish is tested against.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim == 0:
@@ -160,17 +167,88 @@ def _invert_row(grid: Sequence[float], ops: Sequence[float], take: float) -> flo
 
     The same guards in the same order (non-positive takes sit at 0.0,
     takes at or beyond the row's full capacity pin to 1.0) and the same
-    50 halvings, so a single open row costs 50 scalar interpolations
-    instead of 50 numpy rounds.
+    50 halvings, but only the first few are run one by one: as soon as
+    ``[low, high]`` lies inside one grid segment, the rest are solved
+    in closed form by :func:`_finish_in_segment`.  A take whose answer
+    sits on a knot keeps the interval straddling it, and runs all 50.
     """
     if take <= 0.0:
         return 0.0
     if take >= ops[-1]:
         return 1.0
+    last = len(grid) - 2
     low, high = 0.0, 1.0
-    for _ in range(50):
+    for done in range(1, 51):
         mid = 0.5 * (low + high)
         if _interp_row(grid, ops, mid) < take:
+            low = mid
+        else:
+            high = mid
+        index = min(max(bisect_right(grid, low) - 1, 0), last)
+        if grid[index] <= low and high <= grid[index + 1]:
+            return _finish_in_segment(
+                grid, ops, take, index, low, high, 50 - done
+            )
+    return 0.5 * (low + high)
+
+
+#: The bisection's lattice: after all 50 halvings of ``[0, 1]`` every
+#: endpoint is a multiple of 2**-50 (each ``mid`` is exact).
+_LATTICE_STEP = 2.0**-50
+
+#: Lattice points the closed-form estimate may be off by before
+#: :func:`_finish_in_segment` gives up and bisects instead.
+_MAX_WALK = 4
+
+
+def _finish_in_segment(
+    grid: Sequence[float],
+    ops: Sequence[float],
+    take: float,
+    index: int,
+    low: float,
+    high: float,
+    remaining: int,
+) -> float:
+    """The last ``remaining`` halvings of :func:`_invert_row`, bitwise.
+
+    ``[low, high]`` lies inside segment ``index``, so every ``mid`` left
+    to test reads that segment and ``_interp_row`` reduces to
+    ``slope * (mid - x0) + y0`` -- the same IEEE operations in the same
+    order, with ``slope`` computed once.  The mids are exact lattice
+    points ``low + k * step``; with ``slope > 0`` the test
+    ``f(mid) < take`` is monotone in ``mid`` (every correctly rounded
+    operation is), so the halvings end on the last lattice point
+    ``k < 2**remaining`` where the test holds (``k = 0`` is ``low``,
+    never tested).  That ``k`` is estimated from the linear inverse and
+    confirmed by testing ``k`` and ``k + 1``; ``high`` itself is never
+    tested, as the halvings never test it.  A flat or falling segment,
+    a non-finite estimate, or an estimate more than :data:`_MAX_WALK`
+    points off falls back to plain halvings.
+    """
+    x0 = grid[index]
+    y0 = ops[index]
+    slope = (ops[index + 1] - y0) / (grid[index + 1] - x0)
+    if slope > 0.0:
+        estimate = (take - y0) / slope + x0
+        if math.isfinite(estimate):
+            count = 1 << remaining
+            offset = (estimate - low) / _LATTICE_STEP
+            k = 0 if offset < 0.0 else min(int(offset), count - 1)
+            for _ in range(_MAX_WALK):
+                if k and not slope * (low + k * _LATTICE_STEP - x0) + y0 < take:
+                    k -= 1
+                elif (
+                    k + 1 < count
+                    and slope * (low + (k + 1) * _LATTICE_STEP - x0) + y0 < take
+                ):
+                    k += 1
+                else:
+                    low += k * _LATTICE_STEP
+                    return 0.5 * (low + (low + _LATTICE_STEP))
+    for _ in range(remaining):
+        mid = 0.5 * (low + high)
+        if slope * (mid - x0) + y0 < take:
             low = mid
         else:
             high = mid

@@ -13,7 +13,10 @@ representation and the reductions:
   a query's working set is bounded by the shard size, not the fleet.
   Large fleets spill the columns to fingerprint-keyed ``.npy`` files
   (:class:`repro.dataset.columns.ColumnSpillStore`) and re-open them
-  as read-only memory maps -- out-of-core, page-cache resident.
+  as read-only memory maps -- out-of-core, page-cache resident.  The
+  layout is derived column by column (:func:`_build_layout` is a
+  generator), so a spilling build writes each column as it is made
+  and never holds the whole layout in memory.
 
 * **Exact sequential folds.**  The scalar paths' accumulation order is
   part of the repo's bit-identity contract, and a shard-parallel sum
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,16 +174,30 @@ def _tiled_column(values: np.ndarray, count: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _ranked(values: np.ndarray, count: int, perm: np.ndarray) -> np.ndarray:
+    """``values`` tiled out to ``count`` servers, in ``perm`` order."""
+    return _tiled_column(values, count)[perm]
+
+
+def _used_counts(flags: np.ndarray) -> np.ndarray:
+    """Running count of set ``flags`` (the ``servers_used`` prefixes)."""
+    return np.add.accumulate(flags.astype(np.int64))
+
+
 def _build_layout(
     base: FleetArrays, count: int
-) -> Tuple[Dict[str, np.ndarray], float]:
+) -> Iterator[Tuple[str, np.ndarray]]:
     """Derive the sharded query columns for ``count`` tiled servers.
 
     O(base) curve work (per-record bisections run once and shared by
     every clone -- clones carry bitwise-identical curves) plus O(N)
-    tiling, ranking, and prefix folds.  Returns the layout mapping and
-    the fleet's total full capacity (the fleet-order sequential fold
-    the cap search seeds its bisection with).
+    tiling, ranking, and prefix folds.  Yields ``(name, column)`` for
+    each of :data:`_LAYOUT_NAMES` in order, then ``("total_capacity",
+    [total])``: the fleet's total full capacity (the fleet-order
+    sequential fold the cap search seeds its bisection with).  Each
+    O(N) intermediate is dropped once the columns derived from it are
+    out, so a caller that writes every column as it arrives (the spill
+    tier) never holds the whole layout at once.
     """
     # Per-base-row derived values through the exact scalar pipelines.
     spot_util_b = base.utilization_for(base.spot_capacity)
@@ -193,59 +210,54 @@ def _build_layout(
     topped_util_b = base.utilization_for(topped_take_b)
     topped_pow_b = base.power_at(topped_util_b)
 
-    # O(N) tiled columns (fleet order).
-    full_cap = _tiled_column(base.full_capacity, count)
-    spot_cap = _tiled_column(base.spot_capacity, count)
-    idle = _tiled_column(base.idle_power_w, count)
+    yield "grid", np.array(base.load_grid, dtype=np.float64)
+    yield "base_power", np.array(base.power, dtype=np.float64)
+    yield "base_ops", np.array(base.ops, dtype=np.float64)
 
     # Ranked orders: stable argsort on the negated key, exactly the
     # columnar engine's (and through it the scalar sort's) ordering.
-    pack_perm = np.argsort(
-        -_tiled_column(base.full_load_ee, count), kind="stable"
-    )
-    ep_perm = np.argsort(-_tiled_column(base.peak_ee, count), kind="stable")
-    ep_rank = np.empty(count, dtype=np.int64)
-    ep_rank[ep_perm] = np.arange(count, dtype=np.int64)
-
-    def used_counts(flags: np.ndarray) -> np.ndarray:
-        return np.add.accumulate(flags.astype(np.int64))
-
-    caps_pack = full_cap[pack_perm]
-    fullpow_pack = _tiled_column(full_pow_b, count)[pack_perm]
-    full_util_t = _tiled_column(full_util_b, count)
-    spotcap_ep = spot_cap[ep_perm]
-    spotpow_ep = _tiled_column(spot_pow_b, count)[ep_perm]
-    spot_util_t = _tiled_column(spot_util_b, count)
-    hprime_ep = _tiled_column(hprime_b, count)[ep_perm]
-    topped_take_ep = _tiled_column(topped_take_b, count)[ep_perm]
-    topped_pow_ep = _tiled_column(topped_pow_b, count)[ep_perm]
-    topped_util_t = _tiled_column(topped_util_b, count)
-
-    layout = {
-        "grid": np.array(base.load_grid, dtype=np.float64),
-        "base_power": np.array(base.power, dtype=np.float64),
-        "base_ops": np.array(base.ops, dtype=np.float64),
-        "pack_perm": pack_perm.astype(np.int64),
-        "caps_pack": caps_pack,
-        "acc_caps_pack": np.add.accumulate(caps_pack),
-        "acc_fullpow_pack": np.add.accumulate(fullpow_pack),
-        "idle_pack": idle[pack_perm],
-        "used_pack": used_counts(full_util_t[pack_perm] > 0.0),
-        "ep_perm": ep_perm.astype(np.int64),
-        "ep_rank": ep_rank,
-        "spotcap_ep": spotcap_ep,
-        "acc_spotcap_ep": np.add.accumulate(spotcap_ep),
-        "spotpow_ep": spotpow_ep,
-        "acc_spotpow_ep": np.add.accumulate(spotpow_ep),
-        "used_spot_ep": used_counts(spot_util_t[ep_perm] > 0.0),
-        "hprime_ep": hprime_ep,
-        "acc_topped_take_ep": np.add.accumulate(topped_take_ep),
-        "acc_topped_pow_ep": np.add.accumulate(topped_pow_ep),
-        "used_topped_ep": used_counts(topped_util_t[ep_perm] > 0.0),
-        "idle_fleet": idle,
-    }
+    perm = np.argsort(-_tiled_column(base.full_load_ee, count), kind="stable")
+    yield "pack_perm", perm.astype(np.int64, copy=False)
+    full_cap = _tiled_column(base.full_capacity, count)
     total_capacity = float(np.add.accumulate(full_cap)[-1]) if count else 0.0
-    return layout, total_capacity
+    ranked = full_cap[perm]
+    del full_cap
+    yield "caps_pack", ranked
+    yield "acc_caps_pack", np.add.accumulate(ranked)
+    del ranked
+    yield "acc_fullpow_pack", np.add.accumulate(
+        _ranked(full_pow_b, count, perm)
+    )
+    yield "idle_pack", _ranked(base.idle_power_w, count, perm)
+    yield "used_pack", _used_counts(_ranked(full_util_b, count, perm) > 0.0)
+
+    perm = np.argsort(-_tiled_column(base.peak_ee, count), kind="stable")
+    yield "ep_perm", perm.astype(np.int64, copy=False)
+    rank = np.empty(count, dtype=np.int64)
+    rank[perm] = np.arange(count, dtype=np.int64)
+    yield "ep_rank", rank
+    del rank
+    ranked = _ranked(base.spot_capacity, count, perm)
+    yield "spotcap_ep", ranked
+    yield "acc_spotcap_ep", np.add.accumulate(ranked)
+    ranked = _ranked(spot_pow_b, count, perm)
+    yield "spotpow_ep", ranked
+    yield "acc_spotpow_ep", np.add.accumulate(ranked)
+    del ranked
+    yield "used_spot_ep", _used_counts(_ranked(spot_util_b, count, perm) > 0.0)
+    yield "hprime_ep", _ranked(hprime_b, count, perm)
+    yield "acc_topped_take_ep", np.add.accumulate(
+        _ranked(topped_take_b, count, perm)
+    )
+    yield "acc_topped_pow_ep", np.add.accumulate(
+        _ranked(topped_pow_b, count, perm)
+    )
+    yield "used_topped_ep", _used_counts(
+        _ranked(topped_util_b, count, perm) > 0.0
+    )
+    del perm
+    yield "idle_fleet", _tiled_column(base.idle_power_w, count)
+    yield "total_capacity", np.array([total_capacity])
 
 
 def _layout_key(base: FleetArrays, count: int) -> str:
@@ -310,14 +322,14 @@ class ShardedFleetEngine:
         if spill:
             store = spill_store if spill_store is not None else ColumnSpillStore()
             key = _layout_key(self.base, self.count)
-            if not all(store.has(key, name) for name in _LAYOUT_NAMES):
-                layout, total_capacity = _build_layout(self.base, self.count)
-                for name in _LAYOUT_NAMES:
-                    store.save(key, name, layout[name])
-                store.save(
-                    key, "total_capacity", np.array([total_capacity])
-                )
-                del layout
+            if not all(
+                store.has(key, name)
+                for name in _LAYOUT_NAMES + ("total_capacity",)
+            ):
+                # Each column is written as it is derived, then dropped.
+                for name, column in _build_layout(self.base, self.count):
+                    store.save(key, name, column)
+                    del column
             self.layout = {
                 name: store.load(key, name) for name in _LAYOUT_NAMES
             }
@@ -325,9 +337,8 @@ class ShardedFleetEngine:
                 store.load(key, "total_capacity", mmap=False)[0]
             )
         else:
-            self.layout, self.total_capacity = _build_layout(
-                self.base, self.count
-            )
+            self.layout = dict(_build_layout(self.base, self.count))
+            self.total_capacity = float(self.layout.pop("total_capacity")[0])
 
     def __len__(self) -> int:
         return self.count
@@ -415,8 +426,9 @@ class ShardedFleetEngine:
 
         Resolves the ranked index to its base record (tiled clones
         share the base row's curves bitwise) and runs the single-row
-        kernels -- 50-iteration utilization bisection, then the power
-        interpolation -- on that row's Python floats.
+        kernels -- the closed-form utilization inversion, bitwise the
+        50-iteration bisection, then the power interpolation -- on that
+        row's Python floats.
         """
         base_row = int(self.layout[perm_name][index]) % len(self.base)
         grid = self.layout["grid"].tolist()

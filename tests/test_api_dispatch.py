@@ -210,6 +210,44 @@ class TestCohortMemo:
         )
 
 
+class TestCdfMemo:
+    """CDF landmarks are built once per slice and metric, never shared."""
+
+    QUERIES = [
+        CdfQuery(),
+        CdfQuery(metric="ep", lo=0.6, hi=0.7),
+        CdfQuery(metric="score", lo=0.0, hi=5_000.0),
+        CdfQuery(metric="ep", lo=0.8, hi=0.9),
+        CdfQuery(metric="peak_ee"),
+        CdfQuery(metric="ep", seed=7, lo=0.6, hi=0.7),
+    ]
+
+    def test_repeated_queries_equal_a_fresh_context(self, study):
+        warm = QueryContext()
+        warm.adopt_study(study)
+        for _ in range(3):
+            for request in self.QUERIES:
+                got = execute(request, warm)
+                fresh = execute(request, QueryContext())
+                assert payload_json(got) == payload_json(fresh)
+                assert got.text == fresh.text
+        assert len(warm._cdfs) == 4  # (seed, metric): ep, score, peak_ee, seed 7
+
+    def test_mutating_an_answer_leaves_the_next_alone(self, study):
+        context = QueryContext()
+        context.adopt_study(study)
+        request = CdfQuery(metric="ep", lo=0.6, hi=0.7)
+        first = execute(request, context)
+        before = payload_json(first)
+        first.payload["quantiles"]["p50"] = -1.0
+        first.payload["quantiles"]["p999"] = 2.0
+        first.payload["deciles"][0]["share"] = 9.0
+        first.payload["deciles"].clear()
+        second = execute(request, context)
+        assert payload_json(second) == before
+        assert second.payload["quantiles"] is not first.payload["quantiles"]
+
+
 class TestBackendParity:
     """Every engine answers a fleet query byte for byte alike."""
 

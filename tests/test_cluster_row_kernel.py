@@ -8,6 +8,7 @@ seeded random monotone curves and on every corpus row.  Comparisons
 are on the IEEE bit patterns, so even a signed zero would show.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -46,11 +47,17 @@ def _random_server(rng: np.random.Generator, index: int) -> SpecPowerResult:
     steps[rng.random(len(loads)) < 0.2] = 0.0
     if index == 0:
         steps[:] = 0.0
-    ops = np.cumsum(steps)
+    return _curve_server(f"random-{index}", loads, np.cumsum(steps).tolist(), rng)
+
+
+def _curve_server(
+    result_id: str, loads: list, ops: list, rng: np.random.Generator
+) -> SpecPowerResult:
+    """A server with throughput ``ops`` at ``loads`` and a random power curve."""
     idle = float(rng.uniform(20.0, 200.0))
     power = idle + np.cumsum(rng.uniform(0.5, 40.0, len(loads)))
     return SpecPowerResult(
-        result_id=f"random-{index}",
+        result_id=result_id,
         vendor="Acme",
         model="R-1",
         form_factor="1U",
@@ -142,6 +149,115 @@ class TestRandomCurves:
         assert _bits(_invert_row(grid, ops, 5.0)) == _bits(
             _utilization_for(random_servers[0], 5.0)
         )
+
+
+#: Hand-built rows the closed-form finish must fall back on or survive.
+_EDGE_CURVES = {
+    "flat-middle": ([0.25, 0.5, 0.75, 1.0], [100.0, 100.0, 300.0, 300.0]),
+    "flat-start": ([0.1, 0.5, 1.0], [0.0, 0.0, 40.0]),
+    "short-grid": ([0.3, 0.6, 0.9], [10.0, 20.0, 35.0]),
+    "short-flat-end": ([0.2, 0.55, 0.8], [7.0, 7.5, 7.5]),
+    "denormal-slope": ([0.1, 0.2, 1.0], [1e-310, 2e-310, 1000.0]),
+    "all-denormal": ([0.5, 1.0], [5e-324, 1e-310]),
+    "huge-then-tiny": ([0.5, 1.0], [1e6, 1e6 + 2.0**-30]),
+    # The segment formula rounds one ulp below the knot at 0.625, a
+    # lattice point the halvings test with the next segment instead.
+    "knot-undershoot": ([0.25, 0.625, 1.0], [328.8, 803.1, 900.0]),
+    "falling-middle": ([0.25, 0.5, 1.0], [300.0, 100.0, 400.0]),
+}
+
+#: Answer offsets around each grid point: one and two lattice steps of
+#: the 50 halvings, and a hair (the closed form's segment boundaries).
+_GRID_OFFSETS = (-1e-9, -(2.0**-49), -(2.0**-50), 2.0**-50, 2.0**-49, 1e-9)
+
+
+def _adversarial_takes(grid: list, ops: list) -> list:
+    """Takes that put the answer on, or one lattice step off, a knot.
+
+    Every knot's throughput and its ``nextafter`` neighbours, plus the
+    throughput just beside every grid point, so the bisection's
+    interval straddles a segment boundary until its last halvings.
+    """
+    takes = []
+    for value in ops:
+        takes += [
+            value,
+            math.nextafter(value, -math.inf),
+            math.nextafter(value, math.inf),
+        ]
+    for point in grid:
+        for offset in _GRID_OFFSETS:
+            if 0.0 <= point + offset <= 1.0:
+                takes.append(_interp_row(grid, ops, point + offset))
+    return takes
+
+
+def _assert_inverts_like_oracles(server: SpecPowerResult, takes: list) -> None:
+    arrays = FleetArrays.from_records([server])
+    grid = arrays.load_grid.tolist()
+    ops = arrays.ops[0].tolist()
+    batched = _bisect_rows(
+        arrays.load_grid,
+        np.broadcast_to(arrays.ops, (len(takes), len(grid))),
+        np.array(takes),
+    )
+    for take, expected in zip(takes, batched.tolist()):
+        got = _invert_row(grid, ops, take)
+        assert _bits(got) == _bits(expected), (server.result_id, take)
+        assert _bits(got) == _bits(_utilization_for(server, take)), (
+            server.result_id,
+            take,
+        )
+
+
+class TestAdversarialTakes:
+    """Takes aimed at the closed-form finish of ``_invert_row``."""
+
+    def test_random_curves(self, random_servers):
+        for server in random_servers:
+            arrays = FleetArrays.from_records([server])
+            takes = _adversarial_takes(
+                arrays.load_grid.tolist(), arrays.ops[0].tolist()
+            )
+            _assert_inverts_like_oracles(server, takes)
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_CURVES))
+    def test_edge_curves(self, name):
+        loads, ops = _EDGE_CURVES[name]
+        rng = np.random.default_rng(3)
+        server = _curve_server(name, loads, ops, rng)
+        grid = [0.0] + loads
+        full = [0.0] + ops
+        takes = _adversarial_takes(grid, full) + (
+            full[-1] * rng.uniform(0.0, 1.0, 32)
+        ).tolist()
+        _assert_inverts_like_oracles(server, takes)
+
+    def test_falling_segment_bisects(self):
+        # Only a bare row can open on a falling segment (every fleet row
+        # starts at 0 ops); the closed form must hand it to the halvings.
+        grid, ops = [0.0, 0.5, 1.0], [500.0, 100.0, 600.0]
+        takes = [1.0, 50.0, 99.0, 100.0, 250.0, 599.0]
+        batched = _bisect_rows(
+            np.array(grid), np.array([ops] * len(takes)), np.array(takes)
+        )
+        for take, expected in zip(takes, batched.tolist()):
+            assert _bits(_invert_row(grid, ops, take)) == _bits(expected), take
+
+    def test_corpus_rows(self, corpus):
+        arrays = FleetArrays.from_records(corpus.results())
+        grid = arrays.load_grid.tolist()
+        for row, server in enumerate(arrays.records):
+            ops = arrays.ops[row].tolist()
+            takes = _adversarial_takes(grid, ops)
+            batched = _bisect_rows(
+                arrays.load_grid,
+                np.broadcast_to(arrays.ops[row], (len(takes), len(grid))),
+                np.array(takes),
+            ).tolist()
+            for take, expected in zip(takes, batched):
+                got = _invert_row(grid, ops, take)
+                assert _bits(got) == _bits(expected), (row, take)
 
 
 class TestCorpusRows:
