@@ -120,6 +120,27 @@ MAX_CAP_QUERY_20_MS = 15.0
 MAX_SERVE_SHED_P99_MS = 100.0
 
 
+def _host() -> dict:
+    """The machine the timings were taken on: OS, arch, CPU model.
+
+    The core count is recorded once, as ``config.cpus``.
+    """
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "system": platform.system(),
+        "machine": platform.machine(),
+        "cpu": model,
+    }
+
+
 def _peak_rss_mb() -> float:
     """This process's lifetime peak resident set, in MiB.
 
@@ -697,6 +718,7 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
+        "host": _host(),
         "config": {
             "corpus_repeats": repeats,
             "sweep_repeats": sweep_repeats,

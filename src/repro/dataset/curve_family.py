@@ -35,9 +35,8 @@ Two facts make the family solvable in closed form plus one bisection:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -196,11 +195,27 @@ def _candidate(idle: float, low: float, high: float, t: float) -> PowerCurve:
     return PowerCurve(idle=idle, exponents=(low, high), weights=(1.0 - t, t))
 
 
+#: How far the continuous efficiency maximum may sit from the requested
+#: spot; half a grid step keeps the grid argmax on the requested level.
+_SPOT_TOLERANCE = 0.035
+
+
+def _solvable(ep, idle):
+    """:func:`solve_curve`'s input guards, on scalars or arrays alike.
+
+    Idle and EP must be in range and the EP reachable: the area under
+    any monotone curve with P(0) = idle is at least idle, so
+    EP = 2 - 2*area cannot exceed 2*(1 - idle).
+    """
+    in_range = (0.0 < idle) & (idle < 1.0) & (0.0 < ep) & (ep < 2.0)
+    return in_range & (idle < 1.0 - ep / 2.0 - 1e-9)
+
+
 def solve_curve(
     ep: float,
     idle: float,
     peak_spot: float = 1.0,
-    spot_tolerance: float = 0.035,
+    spot_tolerance: float = _SPOT_TOLERANCE,
 ) -> PowerCurve:
     """Find a family member with the requested EP, idle, and peak spot.
 
@@ -225,28 +240,62 @@ def solve_curve(
         peak at 70% utilization with a very low idle fraction and a
         moderate EP -- physically those curves do not exist either).
     """
-    if not 0.0 < idle < 1.0:
-        raise CurveSolveError(f"idle fraction {idle} out of range")
-    if not 0.0 < ep < 2.0:
-        raise CurveSolveError(f"EP {ep} out of range")
-    # The area under any monotone curve with P(0) = idle is at least
-    # idle, so EP = 2 - 2*area cannot exceed 2*(1 - idle).
-    target_area = 1.0 - ep / 2.0
-    if idle >= target_area - 1e-9:
+    if not _solvable(ep, idle):
+        if not 0.0 < idle < 1.0:
+            raise CurveSolveError(f"idle fraction {idle} out of range")
+        if not 0.0 < ep < 2.0:
+            raise CurveSolveError(f"EP {ep} out of range")
         raise CurveSolveError(f"EP {ep:.3f} unreachable with idle {idle:.3f}")
+    interior = None
+    if peak_spot < 1.0 - 1e-9:
+        try:
+            interior = _solve_interior_peak(
+                ep, idle, 1.0 - ep / 2.0, peak_spot, spot_tolerance
+            )
+        except CurveSolveError:
+            pass
+    return _settle(ep, idle, peak_spot, interior)
 
+
+def solve_curves(
+    ep: Sequence[float], idle: Sequence[float], peak_spot: Sequence[float]
+) -> List[Optional[Union[PowerCurve, GridCurve]]]:
+    """:func:`solve_curve` for many rows at once; ``None`` where it raises.
+
+    Every interior-spot row shares one :func:`_interior_peak_batch`
+    search; each row then settles through :func:`_settle` in row order,
+    so its answer equals the row's own :func:`solve_curve` call.
+    """
+    ep, idle, peak_spot = (np.asarray(c, dtype=float) for c in (ep, idle, peak_spot))
+    valid = np.flatnonzero(_solvable(ep, idle))
+    interior = valid[peak_spot[valid] < 1.0 - 1e-9]
+    found = dict.fromkeys(valid.tolist())
+    batch = _interior_peak_batch(idle[interior], 1.0 - ep[interior] / 2.0, peak_spot[interior])
+    for r, low, high, t, error in zip(interior.tolist(), *batch):
+        if error <= _SPOT_TOLERANCE:
+            found[r] = _candidate(float(idle[r]), float(low), float(high), float(t))
+    curves: List[Optional[Union[PowerCurve, GridCurve]]] = [None] * len(ep)
+    for r, candidate in found.items():
+        try:
+            curves[r] = _settle(float(ep[r]), float(idle[r]), float(peak_spot[r]), candidate)
+        except CurveSolveError:
+            pass
+    return curves
+
+
+def _settle(ep: float, idle: float, peak_spot: float, interior: Optional[PowerCurve]):
+    """The branch order :func:`solve_curve` and :func:`solve_curves` share.
+
+    A 100% spot takes the peak-at-full member.  An interior spot prefers
+    the smooth S-shaped ``interior`` candidate, but only when it wins
+    the requested grid level with a margin that survives the
+    measurement noise added later; the knee construction covers the
+    (large) remainder of the (EP, idle, spot) space.
+    """
     if peak_spot >= 1.0 - 1e-9:
-        return _solve_peak_at_full(ep, idle, target_area)
-    # Interior spot: prefer the smooth S-shaped member, but only when it
-    # wins the requested grid level with a margin that survives the
-    # measurement noise added later; the knee construction covers the
-    # (large) remainder of the (EP, idle, spot) space.
-    try:
-        curve = _solve_interior_peak(ep, idle, target_area, peak_spot, spot_tolerance)
-        if _grid_margin_ok(curve, peak_spot):
-            return curve
-    except CurveSolveError:
-        pass
+        return _solve_peak_at_full(ep, idle, 1.0 - ep / 2.0)
+    if interior is not None and _grid_margin_ok(interior, peak_spot):
+        return interior
     return solve_knee_curve(ep, idle, peak_spot)
 
 
@@ -313,13 +362,13 @@ _S_HIGH_EXPONENTS = np.concatenate(
 )
 
 
-#: Coarse grid for the vectorized interior-peak scan; the winning
-#: candidate is refined with :meth:`PowerCurve.interior_peak`.
+#: Coarse grid on which the interior-peak search locates each
+#: candidate's efficiency maximum.
 _COARSE = np.linspace(1e-3, 1.0, 241)
 
 #: Import-time tables over the fixed exponent ladders (see
 #: :func:`_grid_curves`): grid areas drive the (linear-in-weight) area
-#: constraint, coarse-grid powers drive the peak scan.  Gain areas are
+#: constraint, coarse-grid powers drive the peak search.  Gain areas are
 #: computed as ``(high_curves - low_curves) @ W`` — the exact float
 #: expression of :func:`_pair_area_terms` — not as an area difference.
 _ONE_CURVE = _grid_curves((1.0,))
@@ -335,70 +384,86 @@ _S_GAIN_AREAS = {
     for low in _S_LOW_EXPONENTS
 }
 _S_LOW_COARSE = {
-    low: np.power(_COARSE[None, :], low) for low in _S_LOW_EXPONENTS
+    low: np.power(_COARSE[None, :], low)[0] for low in _S_LOW_EXPONENTS
 }
 _S_HIGH_COARSE = np.power(
     _COARSE[None, :], np.asarray(_S_HIGH_EXPONENTS, dtype=float)[:, None]
 )
 
-#: Per-thread scratch arrays for the interior-peak scan (the solver is
-#: re-entrant across threads, so the buffers cannot be module globals).
-_SCRATCH = threading.local()
 
-
-def _interior_scratch() -> Tuple[np.ndarray, np.ndarray]:
-    work = getattr(_SCRATCH, "work", None)
-    if work is None:
-        work = (np.empty_like(_S_HIGH_COARSE), np.empty_like(_S_HIGH_COARSE))
-        _SCRATCH.work = work
-    return work
-
-
-def _approx_interior_peaks(
-    idle: float, low: float, highs: np.ndarray, ts: np.ndarray,
-    u_low: Optional[np.ndarray] = None, u_high: Optional[np.ndarray] = None,
-    work: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+def _coarse_peaks(
+    c1: np.ndarray, u_low: np.ndarray, c2: np.ndarray,
+    scale: np.ndarray, idle: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized approximate efficiency-peak location per candidate.
+    """Coarse efficiency-peak location of every (row, high exponent).
 
-    Evaluates g(u) = P - u P' for every (high exponent, weight) pair on
-    the coarse grid and returns the location of the last positive ->
-    negative transition (1.0 when efficiency rises to the end).
-    ``u_low``/``u_high`` accept precomputed coarse-grid power rows and
-    ``work`` a pair of scratch (len(highs), len(_COARSE)) arrays, so the
-    solver's hot loop skips both the ``np.power`` evaluations and the
-    large temporaries.  Each in-place step applies the same operation
-    to the same operands as the one-expression form, so g is
-    bit-identical either way.
+    ``g(u) = (c1 u**low + c2 u**high)(1 - idle) + idle`` is ``P - u P'``
+    with ``c1 = (1-t)(1-low) >= 0`` and ``c2 = t(1-high) < 0``: it starts
+    at ``idle > 0``, rises (unless ``low = 1``) and then falls, so once
+    negative it stays negative.  Its coarse signs therefore read
+    ``+...+-...-`` and eight halvings over the 241 columns find the
+    first negative one without building the dense table.  The peak is
+    the column before it, the dense scan's ``+ -> -`` transition (1.0
+    when there is none).  ``g`` keeps that scan's operation order
+    elementwise, so the answers match it bit for bit.
     """
-    if u_low is None:
-        u_low = np.power(_COARSE[None, :], low)
-    if u_high is None:
-        u_high = np.power(_COARSE[None, :], highs[:, None])
-    n = len(highs)
-    if work is None:
-        g = idle + (1.0 - idle) * (
-            (1.0 - ts[:, None]) * (1.0 - low) * u_low
-            + ts[:, None] * (1.0 - highs[:, None]) * u_high
+    columns = len(_COARSE)
+    high_at = np.arange(c1.shape[1]) * columns
+    first_negative = np.zeros(c1.shape, dtype=np.intp)
+    for step in (128, 64, 32, 16, 8, 4, 2, 1):
+        probe = first_negative + step
+        col = np.minimum(probe, columns) - 1
+        g = (
+            c1 * u_low[col] + c2 * _S_HIGH_COARSE.ravel()[high_at + col]
+        ) * scale[:, None] + idle[:, None]
+        first_negative = np.where((probe <= columns) & (g >= 0.0), probe, first_negative)
+    inside = (first_negative > 0) & (first_negative < columns)
+    return np.where(inside, _COARSE[first_negative - 1], 1.0)
+
+
+def _interior_peak_batch(
+    idle: np.ndarray, target_area: np.ndarray, peak_spot: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best S-branch member per row: (low, high, t, error) columns.
+
+    Replays the sequential search across all rows at once: for each low
+    exponent in ladder order the weight ``t`` of every high exponent
+    follows from the (linear) grid-area constraint, the first feasible
+    high whose coarse peak lands closest to the spot is that low's
+    candidate, it replaces the row's best only when strictly closer, and
+    a row drops out once its best lands within 2e-3 (under half a coarse
+    step, so no later low can be closer).  ``error`` is ``inf`` where no
+    candidate is feasible.
+    """
+    n = len(idle)
+    scale = 1.0 - idle
+    best_error = np.full(n, np.inf)
+    best_low, best_high, best_t = np.zeros(n), np.zeros(n), np.zeros(n)
+    rows = np.arange(n)
+    for low in _S_LOW_EXPONENTS:
+        base = idle[rows] + scale[rows] * _S_LOW_AREAS[low]
+        gain = scale[rows, None] * _S_GAIN_AREAS[low]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(
+                np.abs(gain) > 1e-15, (target_area[rows, None] - base[:, None]) / gain, np.nan
+            )
+        feasible = (t > 1e-9) & (t <= 1.0)
+        # Infeasible slots get t = 0 (g > 0 throughout) and are masked.
+        t_used = np.where(feasible, t, 0.0)
+        peaks = _coarse_peaks(
+            (1.0 - t_used) * (1.0 - low), _S_LOW_COARSE[low],
+            t_used * (1.0 - _S_HIGH_EXPONENTS), scale[rows], idle[rows],
         )
-    else:
-        g, scratch = work[0][:n], work[1][:n]
-        np.multiply((1.0 - ts[:, None]) * (1.0 - low), u_low, out=g)
-        np.multiply(ts[:, None] * (1.0 - highs[:, None]), u_high, out=scratch)
-        g += scratch
-        g *= 1.0 - idle
-        g += idle
-    # g is never NaN here (callers pass finite weights), so the pair of
-    # comparisons (>= 0, < 0) collapses to one sign array.
-    sign = g >= 0.0
-    transitions = sign[:, :-1] & ~sign[:, 1:]
-    peaks = np.full(n, 1.0)
-    any_transition = transitions.any(axis=1)
-    last_column = transitions.shape[1] - 1 - np.argmax(
-        transitions[:, ::-1], axis=1
-    )
-    peaks[any_transition] = _COARSE[last_column[any_transition]]
-    return peaks
+        errors = np.where(feasible, np.abs(peaks - peak_spot[rows, None]), np.inf)
+        pick = np.argmin(errors, axis=1)
+        closest = errors[np.arange(len(rows)), pick]
+        better = closest < best_error[rows]
+        won = rows[better]
+        best_error[won], best_low[won] = closest[better], low
+        best_high[won] = _S_HIGH_EXPONENTS[pick[better]]
+        best_t[won] = t[better, pick[better]]
+        rows = rows[best_error[rows] >= 2e-3]
+    return best_low, best_high, best_t, best_error
 
 
 def _solve_interior_peak(
@@ -408,53 +473,22 @@ def _solve_interior_peak(
     peak_spot: float,
     spot_tolerance: float,
 ) -> PowerCurve:
-    """Peak efficiency at an interior spot.
+    """Peak efficiency at an interior spot: one row of the batch search.
 
     For each candidate low exponent the weight follows from the (linear)
     grid-area constraint, leaving the high exponent as the only free
-    parameter; a vectorized scan locates the candidate whose efficiency
-    peak lands closest to the requested spot.
+    parameter; :func:`_interior_peak_batch` picks the candidate whose
+    efficiency peak lands closest to the requested spot.
     """
-    best: Optional[Tuple[float, float, float]] = None  # (error, low, high, t)
-    best_error = np.inf
-    work = _interior_scratch()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for low in _S_LOW_EXPONENTS:
-            base = idle + (1.0 - idle) * _S_LOW_AREAS[low]
-            gain = (1.0 - idle) * _S_GAIN_AREAS[low]
-            t_values = np.where(
-                np.abs(gain) > 1e-15, (target_area - base) / gain, np.nan
-            )
-            feasible = (t_values > 1e-9) & (t_values <= 1.0)
-            if not feasible.any():
-                continue
-            if feasible.all():
-                # The common case: skip the fancy-index copies of the
-                # (140, 241) coarse-power table.
-                highs, ts, u_high = _S_HIGH_EXPONENTS, t_values, _S_HIGH_COARSE
-            else:
-                highs = _S_HIGH_EXPONENTS[feasible]
-                ts = t_values[feasible]
-                u_high = _S_HIGH_COARSE[feasible]
-            peaks = _approx_interior_peaks(
-                idle, low, highs, ts,
-                u_low=_S_LOW_COARSE[low], u_high=u_high, work=work,
-            )
-            errors = np.abs(peaks - peak_spot)
-            i = int(np.argmin(errors))
-            if errors[i] < best_error:
-                best_error = float(errors[i])
-                best = (low, float(highs[i]), float(ts[i]))
-                if best_error < 2e-3:
-                    break
-    if best is None:
+    batch = _interior_peak_batch(np.array([idle]), np.array([target_area]), np.array([peak_spot]))
+    low, high, t, error = (float(column[0]) for column in batch)
+    if error == np.inf:
         raise CurveSolveError(f"no feasible curve for EP {ep:.3f}, idle {idle:.3f}")
-    if best_error > spot_tolerance:
+    if error > spot_tolerance:
         raise CurveSolveError(
             f"peak spot {peak_spot:.0%} unreachable for EP {ep:.3f}, idle "
-            f"{idle:.3f} (closest approach {best_error:.3f} away)"
+            f"{idle:.3f} (closest approach {error:.3f} away)"
         )
-    low, high, t = best
     return _candidate(idle, low, high, t)
 
 

@@ -37,6 +37,8 @@ from repro.dataset.curve_family import (
     _S_HIGH_EXPONENTS,
     _S_LOW_EXPONENTS,
     _TRAPZ_W,
+    solve_curve,
+    solve_curve_with_fallback,
 )
 from repro.dataset.schema import LoadLevel, SpecPowerResult
 from repro.dataset.synthesis import _LEVEL_GRID, _Stub, _idle_from_ep
@@ -189,6 +191,26 @@ def solve_knee_curve_reference(
     )
 
 
+def _solve_curves_reference(stubs: List[_Stub]) -> None:
+    """Original curve pass (one scalar solve per stub)."""
+    for stub in stubs:
+        if stub.power_points is not None:
+            continue  # explicit pinned curve
+        try:
+            curve = solve_curve(stub.ep_target, stub.idle_fraction, stub.peak_spot)
+        except CurveSolveError:
+            curve = solve_curve_with_fallback(
+                stub.ep_target, stub.idle_fraction, stub.peak_spot
+            )
+        stub.idle_fraction = curve.idle
+        grid_power = curve.grid_power()
+        stub.power_points = grid_power
+        levels = _LEVEL_GRID[1:]
+        rel = levels / grid_power[1:]
+        best = rel.max()
+        stub.peak_spot = float(levels[rel >= best * (1.0 - 1e-9)][0])
+
+
 def _assign_ep_targets_reference(
     stubs: List[_Stub],
     rng: np.random.Generator,
@@ -293,6 +315,7 @@ _SWAPS = (
     (_cf, "solve_knee_curve", solve_knee_curve_reference),
     (_syn, "_assign_ep_targets", _assign_ep_targets_reference),
     (_syn, "_assign_idle_fractions", _assign_idle_fractions_reference),
+    (_syn, "_solve_curves", _solve_curves_reference),
     (_syn, "_noisy_levels", _noisy_levels_reference),
 )
 

@@ -34,12 +34,7 @@ import numpy as np
 
 from repro.dataset import calibration_targets as targets
 from repro.dataset.corpus import Corpus
-from repro.dataset.curve_family import (
-    CurveSolveError,
-    PowerCurve,
-    solve_curve,
-    solve_curve_with_fallback,
-)
+from repro.dataset.curve_family import solve_curve_with_fallback, solve_curves
 from repro.dataset.schema import LoadLevel, SpecPowerResult
 from repro.metrics.ep import TARGET_LOADS_DESCENDING, UTILIZATION_LEVELS
 from repro.power.microarch import CATALOG, Codename
@@ -432,12 +427,16 @@ def _assign_idle_fractions(stubs: List[_Stub], rng: np.random.Generator) -> None
 
 
 def _solve_curves(stubs: List[_Stub]) -> None:
-    for stub in stubs:
-        if stub.power_points is not None:
-            continue  # explicit pinned curve
-        try:
-            curve = solve_curve(stub.ep_target, stub.idle_fraction, stub.peak_spot)
-        except CurveSolveError:
+    # Pinned curves stay explicit; every other stub is solved in one
+    # batch, and only the rows it cannot serve relax their targets.
+    open_stubs = [stub for stub in stubs if stub.power_points is None]
+    curves = solve_curves(
+        [stub.ep_target for stub in open_stubs],
+        [stub.idle_fraction for stub in open_stubs],
+        [stub.peak_spot for stub in open_stubs],
+    )
+    for stub, curve in zip(open_stubs, curves):
+        if curve is None:
             curve = solve_curve_with_fallback(
                 stub.ep_target, stub.idle_fraction, stub.peak_spot
             )

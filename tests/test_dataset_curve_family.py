@@ -2,16 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.curve_family import (
+    _S_GAIN_AREAS,
+    _S_HIGH_EXPONENTS,
+    _S_LOW_AREAS,
+    _S_LOW_COARSE,
+    _S_LOW_EXPONENTS,
     CurveSolveError,
     GridCurve,
     PowerCurve,
+    _candidate,
+    _coarse_peaks,
+    _interior_peak_batch,
     ep_of_linear_curve,
     minimum_idle_for_spot,
     solve_curve,
     solve_curve_with_fallback,
+    solve_curves,
     solve_knee_curve,
+)
+from repro.dataset.reference import (
+    _approx_interior_peaks_reference,
+    _solve_interior_peak_reference,
 )
 
 
@@ -92,6 +107,23 @@ class TestSolveCurve:
         with pytest.raises(CurveSolveError):
             solve_curve(2.5, 0.3, 1.0)
 
+    @pytest.mark.parametrize(
+        "ep,idle,message",
+        [
+            (0.8, 0.0, "idle fraction"),
+            (0.8, 1.0, "idle fraction"),
+            (0.8, float("nan"), "idle fraction"),
+            (0.0, 0.3, "EP 0.0 out of range"),
+            (2.0, 0.3, "EP 2.0 out of range"),
+            (float("nan"), 0.3, "EP nan out of range"),
+            (1.4, 0.3, "unreachable"),
+        ],
+    )
+    def test_guards_reject_the_same_rows_on_both_paths(self, ep, idle, message):
+        with pytest.raises(CurveSolveError, match=message):
+            solve_curve(ep, idle, 0.8)
+        assert solve_curves([ep, 0.8], [idle, 0.25], [0.8, 0.8])[0] is None
+
     def test_peak_at_full_with_high_ep_needs_interior(self):
         # EP far above 1 - idle/2 cannot peak at 100%.
         with pytest.raises(CurveSolveError):
@@ -148,3 +180,123 @@ class TestFallback:
         # area from above: EP below ~0.51 cannot peak at 70% at all.
         with pytest.raises(CurveSolveError):
             minimum_idle_for_spot(0.40, 0.7)
+
+
+# -- the batched interior-peak search --------------------------------------------
+
+
+def _batch_outcomes(rows):
+    """Per row: the batch search's curve, or CurveSolveError."""
+    ep, idle, spot = (np.array(column, dtype=float) for column in zip(*rows))
+    low, high, t, error = _interior_peak_batch(idle, 1.0 - ep / 2.0, spot)
+    return [
+        _candidate(float(idle[r]), float(low[r]), float(high[r]), float(t[r]))
+        if error[r] <= 0.035
+        else CurveSolveError
+        for r in range(len(rows))
+    ]
+
+
+def _reference_outcome(ep, idle, spot):
+    try:
+        return _solve_interior_peak_reference(ep, idle, 1.0 - ep / 2.0, spot, 0.035)
+    except CurveSolveError:
+        return CurveSolveError
+
+
+def _feasible_highs(ep, idle):
+    """Feasible high exponents per low exponent (the area constraint)."""
+    scale = 1.0 - idle
+    counts = []
+    for low in _S_LOW_EXPONENTS:
+        t = (1.0 - ep / 2.0 - idle - scale * _S_LOW_AREAS[low]) / (
+            scale * _S_GAIN_AREAS[low]
+        )
+        counts.append(int(((t > 1e-9) & (t <= 1.0)).sum()))
+    return counts
+
+
+#: One batch covering every path of the search: a corpus-range row, a
+#: row whose lows are only partly feasible and which settles on
+#: low = 1.0, a row whose first low has no feasible high, a row that
+#: misses the spot tolerance, and a row with no feasible candidate.
+COVERING_BATCH = [
+    (0.9, 0.2, 0.8),
+    (1.1, 0.3, 0.7),
+    (0.6, 0.35, 0.6),
+    (0.7, 0.4, 0.6),
+    (1.108, 0.578, 0.8),
+]
+
+ROWS = st.tuples(
+    st.floats(0.3, 1.15), st.floats(0.02, 0.6), st.floats(0.6, 0.9)
+)
+
+
+class TestInteriorPeakBatch:
+    def test_covering_batch_hits_every_path(self):
+        counts = [_feasible_highs(ep, idle) for ep, idle, _ in COVERING_BATCH]
+        assert any(0 < c < len(_S_HIGH_EXPONENTS) for c in counts[1])
+        assert counts[2][0] == 0 and max(counts[2]) > 0
+        assert max(counts[4]) == 0
+        ep, idle, spot = (np.array(c) for c in zip(*COVERING_BATCH))
+        low, _high, _t, error = _interior_peak_batch(idle, 1.0 - ep / 2.0, spot)
+        assert low[1] == 1.0 and error[1] <= 0.035
+        assert 0.035 < error[3] < np.inf
+        assert error[4] == np.inf
+
+    @given(st.lists(ROWS, min_size=1, max_size=10))
+    @example(COVERING_BATCH)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_per_row_reference(self, rows):
+        expected = [_reference_outcome(*row) for row in rows]
+        assert _batch_outcomes(rows) == expected
+
+    @given(
+        st.lists(ROWS, min_size=2, max_size=10).flatmap(
+            lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_row_answer_ignores_batch_mates_and_order(self, case):
+        rows, order = case
+        together = _batch_outcomes(rows)
+        assert together == [_batch_outcomes([row])[0] for row in rows]
+        shuffled = _batch_outcomes([rows[i] for i in order])
+        assert shuffled == [together[i] for i in order]
+
+    @given(
+        st.floats(1e-7, 0.95),
+        st.sampled_from(_S_LOW_EXPONENTS),
+        st.lists(st.floats(1e-9, 1.0), min_size=140, max_size=140),
+    )
+    @example(1e-6, 0.7, [0.999] * 140)  # g < 0 at the first coarse column
+    @settings(max_examples=60, deadline=None)
+    def test_coarse_peaks_equal_dense_scan(self, idle, low, ts):
+        ts = np.array(ts)
+        peaks = _coarse_peaks(
+            ((1.0 - ts) * (1.0 - low))[None, :], _S_LOW_COARSE[low],
+            (ts * (1.0 - _S_HIGH_EXPONENTS))[None, :],
+            np.array([1.0 - idle]), np.array([idle]),
+        )[0]
+        expected = _approx_interior_peaks_reference(idle, low, _S_HIGH_EXPONENTS, ts)
+        assert np.array_equal(peaks, expected)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.2, 1.2), st.floats(0.02, 0.9),
+                st.sampled_from([0.6, 0.7, 0.8, 0.9, 1.0]),
+            ),
+            min_size=1, max_size=8,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_solve_curves_equals_solve_curve(self, rows):
+        def scalar(row):
+            try:
+                return solve_curve(*row)
+            except CurveSolveError:
+                return None
+
+        assert solve_curves(*zip(*rows)) == [scalar(row) for row in rows]

@@ -10,20 +10,28 @@ fails loudly instead of silently shifting every downstream statistic.
 """
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.dataset.reference import (
+    _SWAPS,
     generate_corpus_reference,
     reference_kernels,
     results_equal,
 )
 from repro.dataset.synthesis import generate_corpus
 
-#: Content fingerprints the vectorized generator must keep emitting.
+#: Content fingerprints the vectorized generator must keep emitting,
+#: keyed by (seed, structural_effects).  Seeds 1 and 12 and the
+#: structural-effects ablation of 2016 were computed with the per-stub
+#: curve solver, before the batched interior-peak search replaced it.
 PINNED_FINGERPRINTS = {
-    2016: "8b351d2ce9ca6e0732b6ccc8b1ba414920eb17c7916b32398d6b6fd0babff2a5",
-    7: "3675fbc5dffa92d3c54c992a0c17c9855d3b1f3366edf6ae121ceef19b8e43ba",
+    (2016, True): "8b351d2ce9ca6e0732b6ccc8b1ba414920eb17c7916b32398d6b6fd0babff2a5",
+    (7, True): "3675fbc5dffa92d3c54c992a0c17c9855d3b1f3366edf6ae121ceef19b8e43ba",
+    (1, True): "fbf0213228832074739fc7203b5bff248b653ac7f551f249b2b4bd18c17f6291",
+    (12, True): "91be654886a8fcc5a132341a113b3f24459ba1a22a6f9f304a0509ca6ebd321c",
+    (2016, False): "6a236fedd2eecb9610121b43994d2899fc6f3196f9bfe3be2258c5a6645be9b0",
 }
 
 
@@ -45,24 +53,50 @@ class TestVectorizedEqualsReference:
         for optimized, original in zip(corpus_seed7, reference):
             assert results_equal(optimized, original)
 
+    def test_ablation_bit_identical(self):
+        optimized = generate_corpus(seed=2016, structural_effects=False)
+        reference = generate_corpus_reference(seed=2016, structural_effects=False)
+        assert len(reference) == len(optimized)
+        for live, original in zip(optimized, reference):
+            assert results_equal(live, original)
+
     def test_fingerprints_match_too(self, corpus):
         assert generate_corpus_reference(2016).fingerprint() == corpus.fingerprint()
 
     def test_swap_is_restored_after_context(self, corpus):
-        import repro.dataset.synthesis as _syn
-
-        live = _syn._noisy_levels
+        live = [getattr(module, name) for module, name, _ in _SWAPS]
         with reference_kernels():
-            assert _syn._noisy_levels is not live
-        assert _syn._noisy_levels is live
+            for (module, name, replacement), kernel in zip(_SWAPS, live):
+                assert getattr(module, name) is replacement
+                assert replacement is not kernel
+        for (module, name, _), kernel in zip(_SWAPS, live):
+            assert getattr(module, name) is kernel
 
 
 class TestPinnedFingerprints:
     def test_default_seed_fingerprint(self, corpus):
-        assert corpus.fingerprint() == PINNED_FINGERPRINTS[2016]
+        assert corpus.fingerprint() == PINNED_FINGERPRINTS[2016, True]
 
     def test_secondary_seed_fingerprint(self, corpus_seed7):
-        assert corpus_seed7.fingerprint() == PINNED_FINGERPRINTS[7]
+        assert corpus_seed7.fingerprint() == PINNED_FINGERPRINTS[7, True]
+
+    @pytest.mark.parametrize("seed,structural", [(1, True), (12, True), (2016, False)])
+    def test_more_seeds_fingerprint(self, seed, structural):
+        fingerprint = generate_corpus(seed, structural).fingerprint()
+        assert fingerprint == PINNED_FINGERPRINTS[seed, structural]
+
+
+class TestReentrancy:
+    def test_concurrent_generation_matches_serial(self):
+        # The solver keeps no shared scratch state, so corpora generated
+        # on concurrent threads must equal serially generated ones.
+        seeds = range(1, 9)
+        serial = [generate_corpus(seed).fingerprint() for seed in seeds]
+        with ThreadPoolExecutor(4) as pool:
+            concurrent = list(
+                pool.map(lambda seed: generate_corpus(seed).fingerprint(), seeds)
+            )
+        assert concurrent == serial
 
 
 class TestResultsEqual:
