@@ -21,7 +21,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.api.requests import (
     ArtifactQuery,
@@ -100,6 +100,12 @@ FleetKey = Tuple[int, Optional[int], Optional[int], Optional[int]]
 #: the serve benchmark's mix touches about 28.
 MAX_COHORTS = 64
 
+#: How many seeds a context keeps warm.  Each seed holds a whole corpus
+#: plus its slices, study, CDF landmarks and fleet cohorts, and every
+#: non-negative integer is a valid seed, so the seed memos are an LRU
+#: too.  A pinned seed (see :class:`QueryContext`) is never evicted.
+MAX_SEEDS = 4
+
 
 class QueryContext:
     """Warm, shareable state for executing queries.
@@ -117,12 +123,22 @@ class QueryContext:
     least-recently-used order of at most :data:`MAX_COHORTS` cohorts
     and are evicted together, so a stream of distinct ``servers``
     values cannot grow a long-lived daemon without bound.  An evicted
-    cohort is rebuilt on its next query, with the same answers.
+    cohort is rebuilt on its next query, with the same answers.  The
+    per-seed memos (corpus, slices, study, CDF landmarks, and that
+    seed's cohorts) likewise share one order of at most
+    :data:`MAX_SEEDS` seeds.  ``seed`` -- the seed a daemon or worker
+    is warmed for -- and the seed of an adopted study are pinned: never
+    evicted, so a warm corpus is never rebuilt and an adopted corpus
+    never replaced by a generated one.
     """
 
-    def __init__(self, cache: Optional[ArtifactCache] = None):
+    def __init__(
+        self, cache: Optional[ArtifactCache] = None, seed: Optional[int] = None
+    ):
         self.cache = cache
         self._lock = threading.RLock()
+        self._seeds: "OrderedDict[int, None]" = OrderedDict()
+        self._pinned: Set[int] = set() if seed is None else {seed}
         self._corpora: Dict[int, Any] = {}
         self._slices: Dict[Tuple[int, Optional[int], Optional[int]], Any] = {}
         self._studies: Dict[int, Any] = {}
@@ -135,9 +151,28 @@ class QueryContext:
         self._traces: Dict[int, Any] = {}
         self._sweeps: Dict[int, Any] = {}
 
+    def _touch_seed(self, seed: int) -> None:
+        """Mark ``seed`` most recently used; past :data:`MAX_SEEDS`,
+        forget the oldest unpinned seed from every per-seed memo."""
+        if seed in self._seeds:
+            self._seeds.move_to_end(seed)
+            return
+        self._seeds[seed] = None
+        unpinned = [s for s in self._seeds if s not in self._pinned and s != seed]
+        for oldest in unpinned[: max(0, len(self._seeds) - MAX_SEEDS)]:
+            del self._seeds[oldest]
+            self._corpora.pop(oldest, None)
+            self._studies.pop(oldest, None)
+            for memo in (self._slices, self._cdfs):
+                for key in [key for key in memo if key[0] == oldest]:
+                    del memo[key]
+            for cohort in [key for key in self._cohorts if key[0] == oldest]:
+                self._evict_cohort(cohort)
+
     def corpus(self, seed: int) -> Any:
         """The calibrated corpus for ``seed`` (memoized)."""
         with self._lock:
+            self._touch_seed(seed)
             if seed not in self._corpora:
                 from repro.dataset.synthesis import generate_corpus
 
@@ -150,6 +185,7 @@ class QueryContext:
         """A hardware-year slice of the seeded corpus (memoized)."""
         key = (seed, hw_year_min, hw_year_max)
         with self._lock:
+            self._touch_seed(seed)
             if key not in self._slices:
                 corpus = self.corpus(seed)
                 if hw_year_min is not None or hw_year_max is not None:
@@ -164,6 +200,7 @@ class QueryContext:
         """A :class:`Study` over the request's corpus (memoized)."""
         seed = request.seed
         with self._lock:
+            self._touch_seed(seed)
             if seed not in self._studies:
                 from repro.core.study import Study
 
@@ -171,8 +208,11 @@ class QueryContext:
             return self._studies[seed]
 
     def adopt_study(self, study: Any) -> None:
-        """Register an existing study (and its corpus) in the memos."""
+        """Register an existing study (and its corpus) in the memos,
+        pinned under its seed."""
         with self._lock:
+            self._pinned.add(study.seed)
+            self._touch_seed(study.seed)
             self._corpora.setdefault(study.seed, study.corpus)
             self._studies.setdefault(study.seed, study)
 
@@ -190,19 +230,19 @@ class QueryContext:
         )
 
     def _touch(self, key: FleetKey) -> None:
-        """Mark ``key`` most recently used; evict the oldest cohort past
-        :data:`MAX_COHORTS` from every cohort memo at once."""
+        """Mark ``key`` (and its seed) most recently used; evict the
+        oldest cohort past :data:`MAX_COHORTS` from every cohort memo at
+        once."""
+        self._touch_seed(key[0])
         self._cohorts[key] = None
         self._cohorts.move_to_end(key)
         while len(self._cohorts) > MAX_COHORTS:
-            oldest, _ = self._cohorts.popitem(last=False)
-            for memo in (
-                self._fleets,
-                self._engines,
-                self._replayers,
-                self._capacities,
-            ):
-                memo.pop(oldest, None)
+            self._evict_cohort(next(iter(self._cohorts)))
+
+    def _evict_cohort(self, key: FleetKey) -> None:
+        del self._cohorts[key]
+        for memo in (self._fleets, self._engines, self._replayers, self._capacities):
+            memo.pop(key, None)
 
     def fleet(self, request: QueryRequest) -> List[Any]:
         """The (optionally tiled) server cohort of a fleet request."""
@@ -283,6 +323,7 @@ class QueryContext:
             request.metric,
         )
         with self._lock:
+            self._touch_seed(request.seed)
             if key not in self._cdfs:
                 from repro.analysis.cdf import cdf_landmarks
 

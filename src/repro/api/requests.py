@@ -73,6 +73,8 @@ class QueryRequest:
     def __post_init__(self) -> None:
         for name, kind, optional in _field_kinds(type(self)):
             _check_type(name, kind, optional, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.format not in FORMATS:
             raise ValueError(
                 f"unknown format {self.format!r}; choose from {list(FORMATS)}"

@@ -157,33 +157,31 @@ class PowerCurve:
 # -- solving -----------------------------------------------------------------------
 
 
-def _pair_area_terms(idle: float, low_exp, high_exp):
-    """Grid area of an (u**low, u**high) pair: base + t * gain.
-
-    ``low_exp`` may be scalar or array; ``high_exp`` likewise (they
-    broadcast).  ``t`` is the weight of the high-exponent term.
-    """
-    low = np.atleast_1d(np.asarray(low_exp, dtype=float))
-    high = np.atleast_1d(np.asarray(high_exp, dtype=float))
-    low_curves = np.power(_GRID[None, :], low[:, None])
-    high_curves = np.power(_GRID[None, :], high[:, None])
-    base = idle + (1.0 - idle) * (low_curves @ _TRAPZ_W)
-    gain = (1.0 - idle) * ((high_curves - low_curves) @ _TRAPZ_W)
-    return base, gain
-
-
 def _grid_curves(exponents) -> np.ndarray:
     """``u**e`` rows over the eleven-point grid, one row per exponent.
 
-    The solver scans fixed exponent ladders thousands of times per
-    corpus; these rows (and the areas/coarse-grid powers derived from
-    them below) depend only on the exponents, so they are built once at
-    import with the exact :func:`numpy.power`/``@`` expressions of
-    :func:`_pair_area_terms`, keeping every downstream float
-    bit-identical to the per-call path.
+    The solver scans fixed exponent ladders for every corpus; these rows
+    (and the areas/coarse-grid powers derived from them below) depend
+    only on the exponents, so they are built once at import with the
+    exact :func:`numpy.power`/``@`` expressions of the original per-call
+    solvers (:mod:`repro.dataset.reference`), keeping every downstream
+    float bit-identical to them.
     """
     exps = np.asarray(exponents, dtype=float)
     return np.power(_GRID[None, :], exps[:, None])
+
+
+def _row_dots(points: np.ndarray) -> np.ndarray:
+    """``_TRAPZ_W @ row`` for every row of ``points`` (any leading shape).
+
+    A stacked ``(1, 11) @ (11, 1)`` product runs numpy's one-dimensional
+    dot kernel once per row -- the kernel ``_TRAPZ_W @ row`` itself
+    runs -- so each area equals the one-row form bit for bit.  A 2-D
+    ``points @ _TRAPZ_W`` (one matrix-vector BLAS call) or
+    ``(points * _TRAPZ_W).sum(-1)`` sums in another order and differs in
+    the last bit on a large share of rows.
+    """
+    return (_TRAPZ_W @ points[..., None])[..., 0]
 
 
 def ep_of_linear_curve(idle: float) -> float:
@@ -199,24 +197,81 @@ def _candidate(idle: float, low: float, high: float, t: float) -> PowerCurve:
 #: spot; half a grid step keeps the grid argmax on the requested level.
 _SPOT_TOLERANCE = 0.035
 
+#: Runner-up separation the requested grid level must win by, so the
+#: measurement noise added later cannot move the spot.
+_MIN_MARGIN = 0.004
 
-def _solvable(ep, idle):
-    """:func:`solve_curve`'s input guards, on scalars or arrays alike.
+#: Why a row has no curve, by failure code (``CurveRows.failure``; 0
+#: means solved).  Each row fails with the text its one-row call raises.
+_FAILURES = (
+    "",
+    "idle fraction {idle} out of range",
+    "EP {ep} out of range",
+    "EP {ep:.3f} unreachable with idle {idle:.3f}",
+    "EP {ep:.3f} too low for idle {idle:.3f}",
+    "EP {ep:.3f} with peak at 100% unreachable at idle {idle:.3f}; "
+    "the efficiency peak must move to an interior utilization",
+    "knee curves are for interior peak spots",
+    "idle {idle:.3f} too high for a knee at {spot:.0%}",
+    "no knee curve for EP {ep:.3f}, idle {idle:.3f}, spot {spot:.0%}",
+)
+(
+    _IDLE_RANGE, _EP_RANGE, _UNREACHABLE, _TOO_LOW, _NEEDS_INTERIOR,
+    _NOT_INTERIOR, _KNEE_IDLE, _NO_KNEE,
+) = range(1, len(_FAILURES))
+
+
+def _failure(code: int, ep: float, idle: float, spot: float) -> CurveSolveError:
+    return CurveSolveError(_FAILURES[code].format(ep=ep, idle=idle, spot=spot))
+
+
+def _guard_failures(ep: np.ndarray, idle: np.ndarray) -> np.ndarray:
+    """:func:`solve_curve`'s input guards: 0, or the first guard broken.
 
     Idle and EP must be in range and the EP reachable: the area under
     any monotone curve with P(0) = idle is at least idle, so
     EP = 2 - 2*area cannot exceed 2*(1 - idle).
     """
-    in_range = (0.0 < idle) & (idle < 1.0) & (0.0 < ep) & (ep < 2.0)
-    return in_range & (idle < 1.0 - ep / 2.0 - 1e-9)
+    return np.select(
+        [
+            ~((0.0 < idle) & (idle < 1.0)),
+            ~((0.0 < ep) & (ep < 2.0)),
+            ~(idle < 1.0 - ep / 2.0 - 1e-9),
+        ],
+        [_IDLE_RANGE, _EP_RANGE, _UNREACHABLE],
+        0,
+    ).astype(np.int8)
 
 
-def solve_curve(
-    ep: float,
-    idle: float,
-    peak_spot: float = 1.0,
-    spot_tolerance: float = _SPOT_TOLERANCE,
-) -> PowerCurve:
+@dataclass(frozen=True)
+class CurveRows:
+    """:func:`solve_curve_rows`' answer, one entry per requested row.
+
+    ``failure`` is 0 where the row solved, else the code of the error
+    its :func:`solve_curve` call raises.  ``points`` holds each solved
+    row's grid powers; ``low``/``high``/``t`` hold a power-term member's
+    exponents and weight and are NaN on knee rows.
+    """
+
+    idle: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    t: np.ndarray
+    points: np.ndarray
+    failure: np.ndarray
+
+    def curve(self, r: int) -> Optional[Union[PowerCurve, GridCurve]]:
+        """Row ``r`` as a curve object; ``None`` where it failed."""
+        if self.failure[r]:
+            return None
+        if np.isnan(self.low[r]):
+            return GridCurve(points=tuple(self.points[r]))
+        return _candidate(
+            float(self.idle[r]), float(self.low[r]), float(self.high[r]), float(self.t[r])
+        )
+
+
+def solve_curve(ep: float, idle: float, peak_spot: float = 1.0) -> PowerCurve:
     """Find a family member with the requested EP, idle, and peak spot.
 
     Parameters
@@ -228,10 +283,6 @@ def solve_curve(
     peak_spot:
         Target utilization of the peak-efficiency measurement level
         (1.0, 0.9, 0.8, 0.7, or 0.6 in the corpus).
-    spot_tolerance:
-        How far the continuous efficiency maximum may sit from the
-        requested spot; half a grid step keeps the grid argmax on the
-        requested level.
 
     Raises
     ------
@@ -240,73 +291,87 @@ def solve_curve(
         peak at 70% utilization with a very low idle fraction and a
         moderate EP -- physically those curves do not exist either).
     """
-    if not _solvable(ep, idle):
-        if not 0.0 < idle < 1.0:
-            raise CurveSolveError(f"idle fraction {idle} out of range")
-        if not 0.0 < ep < 2.0:
-            raise CurveSolveError(f"EP {ep} out of range")
-        raise CurveSolveError(f"EP {ep:.3f} unreachable with idle {idle:.3f}")
-    interior = None
-    if peak_spot < 1.0 - 1e-9:
-        try:
-            interior = _solve_interior_peak(
-                ep, idle, 1.0 - ep / 2.0, peak_spot, spot_tolerance
-            )
-        except CurveSolveError:
-            pass
-    return _settle(ep, idle, peak_spot, interior)
+    rows = solve_curve_rows([ep], [idle], [peak_spot])
+    if rows.failure[0]:
+        raise _failure(rows.failure[0], ep, idle, peak_spot)
+    return rows.curve(0)
 
 
-def solve_curves(
-    ep: Sequence[float], idle: Sequence[float], peak_spot: Sequence[float]
-) -> List[Optional[Union[PowerCurve, GridCurve]]]:
-    """:func:`solve_curve` for many rows at once; ``None`` where it raises.
+def solve_curve_rows(
+    ep: Sequence[float],
+    idle: Sequence[float],
+    peak_spot: Sequence[float],
+) -> CurveRows:
+    """:func:`solve_curve` for many rows at once, as columns.
 
-    Every interior-spot row shares one :func:`_interior_peak_batch`
-    search; each row then settles through :func:`_settle` in row order,
-    so its answer equals the row's own :func:`solve_curve` call.
+    Each stage runs once over every row that reaches it, in the branch
+    order of the one-row solver: the input guards; the peak-at-100%
+    rows on the fixed curvature ladders; the interior rows' S-branch
+    search, whose candidate keeps its row only when it wins the
+    requested grid level by :data:`_MIN_MARGIN`; and the knee
+    construction for the remaining interior rows.  Every stage is
+    elementwise per row, so a row's answer never depends on its batch
+    mates.
     """
-    ep, idle, peak_spot = (np.asarray(c, dtype=float) for c in (ep, idle, peak_spot))
-    valid = np.flatnonzero(_solvable(ep, idle))
-    interior = valid[peak_spot[valid] < 1.0 - 1e-9]
-    found = dict.fromkeys(valid.tolist())
-    batch = _interior_peak_batch(idle[interior], 1.0 - ep[interior] / 2.0, peak_spot[interior])
-    for r, low, high, t, error in zip(interior.tolist(), *batch):
-        if error <= _SPOT_TOLERANCE:
-            found[r] = _candidate(float(idle[r]), float(low), float(high), float(t))
-    curves: List[Optional[Union[PowerCurve, GridCurve]]] = [None] * len(ep)
-    for r, candidate in found.items():
-        try:
-            curves[r] = _settle(float(ep[r]), float(idle[r]), float(peak_spot[r]), candidate)
-        except CurveSolveError:
-            pass
-    return curves
+    ep, idle, spot = (
+        np.atleast_1d(np.asarray(column, dtype=float)) for column in (ep, idle, peak_spot)
+    )
+    n = len(ep)
+    target_area = 1.0 - ep / 2.0
+    failure = _guard_failures(ep, idle)
+    low, high, t = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    points = np.full((n, len(_GRID)), np.nan)
+
+    full = np.flatnonzero((failure == 0) & (spot >= 1.0 - 1e-9))
+    high[full], t[full], failure[full] = _peak_at_full_batch(idle[full], target_area[full])
+    low[full] = 1.0
+
+    interior = np.flatnonzero((failure == 0) & (spot < 1.0 - 1e-9))
+    s_low, s_high, s_t, error = _interior_peak_batch(
+        idle[interior], target_area[interior], spot[interior]
+    )
+    found = error <= _SPOT_TOLERANCE
+    s_rows = interior[found]
+    low[s_rows], high[s_rows], t[s_rows] = s_low[found], s_high[found], s_t[found]
+
+    mix = np.flatnonzero((failure == 0) & ~np.isnan(low))
+    points[mix] = _mix_points(idle[mix], low[mix], high[mix], t[mix])
+    # An S candidate without the margin falls to the knee construction.
+    lost = s_rows[~_peak_margin_ok(points[s_rows], spot[s_rows], _MIN_MARGIN)]
+    low[lost] = high[lost] = t[lost] = np.nan
+
+    knee = np.flatnonzero((failure == 0) & np.isnan(low))
+    points[knee], failure[knee] = _knee_batch(ep[knee], idle[knee], spot[knee], _MIN_MARGIN)
+    return CurveRows(idle, low, high, t, points, failure)
 
 
-def _settle(ep: float, idle: float, peak_spot: float, interior: Optional[PowerCurve]):
-    """The branch order :func:`solve_curve` and :func:`solve_curves` share.
+def _mix_points(
+    idle: np.ndarray, low: np.ndarray, high: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """Grid powers of the ``(u**low, u**high)`` members, one row each.
 
-    A 100% spot takes the peak-at-full member.  An interior spot prefers
-    the smooth S-shaped ``interior`` candidate, but only when it wins
-    the requested grid level with a margin that survives the
-    measurement noise added later; the knee construction covers the
-    (large) remainder of the (EP, idle, spot) space.
+    :meth:`PowerCurve.grid_power` elementwise, with weights
+    ``(1 - t, t)`` (its zero start adds nothing to the non-negative
+    first term).
     """
-    if peak_spot >= 1.0 - 1e-9:
-        return _solve_peak_at_full(ep, idle, 1.0 - ep / 2.0)
-    if interior is not None and _grid_margin_ok(interior, peak_spot):
-        return interior
-    return solve_knee_curve(ep, idle, peak_spot)
+    low_terms = np.power(_GRID, low[:, None])
+    high_terms = np.power(_GRID, high[:, None])
+    shape = (1.0 - t)[:, None] * low_terms + t[:, None] * high_terms
+    return idle[:, None] + (1.0 - idle)[:, None] * shape
 
 
-def _grid_margin_ok(curve, peak_spot: float, min_margin: float = 0.004) -> bool:
-    """True when the curve's grid efficiency peaks at ``peak_spot`` with
-    a runner-up separation of at least ``min_margin``."""
-    rel = np.asarray(curve.ee_relative(_GRID))[1:]
-    order = np.argsort(rel)[::-1]
-    peak_level = float(_GRID[1:][order[0]])
-    margin = rel[order[0]] / rel[order[1]] - 1.0
-    return abs(peak_level - peak_spot) < 1e-9 and margin >= min_margin
+def _peak_margin_ok(points: np.ndarray, spot: np.ndarray, min_margin: float) -> np.ndarray:
+    """Rows whose grid efficiency peaks at ``spot`` by ``min_margin``.
+
+    The margin is the best level's efficiency over the runner-up's.  A
+    tie at the top has margin 0, so which tied level ``argmax`` names
+    never matters for a positive ``min_margin``.
+    """
+    rel = _GRID[1:] / points[:, 1:]
+    ranked = np.sort(rel, axis=1)
+    margin = ranked[:, -1] / ranked[:, -2] - 1.0
+    level = _GRID[1:][np.argmax(rel, axis=1)]
+    return (np.abs(level - spot) < 1e-9) & (margin >= min_margin)
 
 
 #: Curvature ladders of the peak-at-100% branches (fixed, so their
@@ -315,43 +380,50 @@ _CONCAVE_CURVATURES = np.linspace(0.85, 0.08, 60)
 _CONVEX_CURVATURES = np.linspace(1.05, 30.0, 240)
 
 
-def _solve_peak_at_full(ep: float, idle: float, target_area: float) -> PowerCurve:
-    """Peak efficiency at 100%: concave bow, straight line, or gentle convex."""
-    linear_area = float(_TRAPZ_W @ (idle + (1.0 - idle) * _GRID))
-    delta = target_area - linear_area
-    if abs(delta) < 1e-9:
-        return PowerCurve.mix(idle=idle, s=0.0, p=2.0)
-    base = idle + (1.0 - idle) * _LINEAR_AREA
-    if delta > 0.0:
-        # EP below the linear member: concave branch (p < 1).
-        curvatures = _CONCAVE_CURVATURES
-        gain = (1.0 - idle) * _CONCAVE_GAIN_AREAS
+def _peak_at_full_batch(
+    idle: np.ndarray, target_area: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak efficiency at 100% for every row: (high, t, failure) columns.
+
+    The member is ``(u, u**high)`` with weight ``t`` on ``u**high``: the
+    straight line (``high`` 2, ``t`` 0) when the target area is the
+    line's, else the first concave curvature (EP below the line) or the
+    smallest convex one (EP above it) whose weight from the linear area
+    constraint is feasible.  The convex branch also keeps the continuous
+    efficiency maximum at or beyond 100% utilization
+    (``u* >= 1  <=>  (1-idle) * t * (p-1) <= idle``).
+    """
+    n = len(idle)
+    scale = 1.0 - idle
+    delta = target_area - _row_dots(idle[:, None] + scale[:, None] * _GRID)
+    base = idle + scale * _LINEAR_AREA
+    high, t = np.full(n, 2.0), np.zeros(n)
+    failure = np.zeros(n, dtype=np.int8)
+    linear = np.abs(delta) < 1e-9
+    for code, rows, curvatures, gains in (
+        (_TOO_LOW, np.flatnonzero(~linear & (delta > 0.0)),
+         _CONCAVE_CURVATURES, _CONCAVE_GAIN_AREAS),
+        (_NEEDS_INTERIOR, np.flatnonzero(~linear & ~(delta > 0.0)),
+         _CONVEX_CURVATURES, _CONVEX_GAIN_AREAS),
+    ):
+        gain = scale[rows, None] * gains
         with np.errstate(divide="ignore"):
-            t_values = np.where(np.abs(gain) > 1e-15, (target_area - base) / gain, np.inf)
-        feasible = (t_values >= 0.0) & (t_values <= 1.0)
-        if not np.any(feasible):
-            raise CurveSolveError(f"EP {ep:.3f} too low for idle {idle:.3f}")
-        i = int(np.argmax(feasible))
-        return _candidate(idle, 1.0, float(curvatures[i]), float(t_values[i]))
-    # EP above the linear member: convex branch, constrained so the
-    # continuous efficiency maximum stays at or beyond 100% utilization
-    # (u* >= 1  <=>  (1-idle) * t * (p-1) <= idle).
-    curvatures = _CONVEX_CURVATURES
-    gain = (1.0 - idle) * _CONVEX_GAIN_AREAS
-    with np.errstate(divide="ignore"):
-        t_values = np.where(np.abs(gain) > 1e-15, (target_area - base) / gain, np.inf)
-    feasible = (
-        (t_values > 0.0)
-        & (t_values <= 1.0)
-        & ((1.0 - idle) * t_values * (curvatures - 1.0) <= idle + 1e-12)
-    )
-    if not np.any(feasible):
-        raise CurveSolveError(
-            f"EP {ep:.3f} with peak at 100% unreachable at idle {idle:.3f}; "
-            f"the efficiency peak must move to an interior utilization"
-        )
-    i = int(np.argmax(feasible))  # smallest feasible curvature
-    return _candidate(idle, 1.0, float(curvatures[i]), float(t_values[i]))
+            t_values = np.where(
+                np.abs(gain) > 1e-15, (target_area - base)[rows, None] / gain, np.inf
+            )
+        if code == _TOO_LOW:
+            feasible = (t_values >= 0.0) & (t_values <= 1.0)
+        else:
+            feasible = (
+                (t_values > 0.0)
+                & (t_values <= 1.0)
+                & (scale[rows, None] * t_values * (curvatures - 1.0) <= idle[rows, None] + 1e-12)
+            )
+        pick = np.argmax(feasible, axis=1)  # first (smallest) feasible curvature
+        at = (np.arange(len(rows)), pick)
+        high[rows], t[rows] = curvatures[pick], t_values[at]
+        failure[rows[~feasible[at]]] = code
+    return high, t, failure
 
 
 #: Low-exponent candidates for the S-branch (how fast power rises at
@@ -370,7 +442,8 @@ _COARSE = np.linspace(1e-3, 1.0, 241)
 #: :func:`_grid_curves`): grid areas drive the (linear-in-weight) area
 #: constraint, coarse-grid powers drive the peak search.  Gain areas are
 #: computed as ``(high_curves - low_curves) @ W`` — the exact float
-#: expression of :func:`_pair_area_terms` — not as an area difference.
+#: expression of the original per-call solvers — not as an area
+#: difference.
 _ONE_CURVE = _grid_curves((1.0,))
 _LINEAR_AREA = (_ONE_CURVE @ _TRAPZ_W)[0]
 _CONCAVE_GAIN_AREAS = (_grid_curves(_CONCAVE_CURVATURES) - _ONE_CURVE) @ _TRAPZ_W
@@ -441,6 +514,8 @@ def _interior_peak_batch(
     best_low, best_high, best_t = np.zeros(n), np.zeros(n), np.zeros(n)
     rows = np.arange(n)
     for low in _S_LOW_EXPONENTS:
+        if not rows.size:
+            break
         base = idle[rows] + scale[rows] * _S_LOW_AREAS[low]
         gain = scale[rows, None] * _S_GAIN_AREAS[low]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -464,32 +539,6 @@ def _interior_peak_batch(
         best_t[won] = t[better, pick[better]]
         rows = rows[best_error[rows] >= 2e-3]
     return best_low, best_high, best_t, best_error
-
-
-def _solve_interior_peak(
-    ep: float,
-    idle: float,
-    target_area: float,
-    peak_spot: float,
-    spot_tolerance: float,
-) -> PowerCurve:
-    """Peak efficiency at an interior spot: one row of the batch search.
-
-    For each candidate low exponent the weight follows from the (linear)
-    grid-area constraint, leaving the high exponent as the only free
-    parameter; :func:`_interior_peak_batch` picks the candidate whose
-    efficiency peak lands closest to the requested spot.
-    """
-    batch = _interior_peak_batch(np.array([idle]), np.array([target_area]), np.array([peak_spot]))
-    low, high, t, error = (float(column[0]) for column in batch)
-    if error == np.inf:
-        raise CurveSolveError(f"no feasible curve for EP {ep:.3f}, idle {idle:.3f}")
-    if error > spot_tolerance:
-        raise CurveSolveError(
-            f"peak spot {peak_spot:.0%} unreachable for EP {ep:.3f}, idle "
-            f"{idle:.3f} (closest approach {error:.3f} away)"
-        )
-    return _candidate(idle, low, high, t)
 
 
 @dataclass(frozen=True)
@@ -554,95 +603,111 @@ class GridCurve:
 _KNEE_RISE_LADDER = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.5, 2.2, 3.2)
 
 
-def _knee_points(idle: float, spot: float, k: float, rise: float) -> np.ndarray:
-    """Grid power of a knee curve: concave rise to k*spot, then linear."""
-    knee_power = k * spot
-    points = np.empty_like(_GRID)
-    pre = _GRID <= spot + 1e-12
+def _knee_shape(idle: np.ndarray, spot: np.ndarray, rise: np.ndarray):
+    """``k -> grid points`` of one knee curve per row.
+
+    Power rises concavely (exponent ``rise``) from ``idle`` to the knee
+    power ``k*spot`` at the spot, then linearly to 1.  The ramp and the
+    post-knee offsets do not depend on the knee depth ``k``, so they are
+    built once; every expression keeps the one-row construction's
+    operation order, so the points match it bit for bit.
+    """
+    pre = _GRID <= spot[:, None] + 1e-12
     with np.errstate(divide="ignore"):
-        ramp = np.power(np.where(_GRID > 0, _GRID / spot, 0.0), rise)
-    points[pre] = idle + (knee_power - idle) * ramp[pre]
-    post = ~pre
-    points[post] = knee_power + (1.0 - knee_power) * (_GRID[post] - spot) / (1.0 - spot)
-    points[0] = idle
-    points[-1] = 1.0
+        ramp = np.power(np.where(_GRID > 0, _GRID / spot[:, None], 0.0), rise[:, None])
+    post_diff = _GRID - spot[:, None]
+    one_minus_spot = (1.0 - spot)[:, None]
+
+    def points(k: np.ndarray) -> np.ndarray:
+        knee_power = (k * spot)[:, None]
+        out = np.where(
+            pre,
+            idle[:, None] + (knee_power - idle[:, None]) * ramp,
+            knee_power + (1.0 - knee_power) * post_diff / one_minus_spot,
+        )
+        out[:, 0] = idle
+        out[:, -1] = 1.0
+        return out
+
     return points
+
+
+def _knee_batch(
+    ep: np.ndarray, idle: np.ndarray, spot: np.ndarray, min_margin: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Knee curves for every row: (points, failure) columns.
+
+    For each rise exponent in ladder order the knee depth ``k`` is
+    bisected (60 halvings) against the grid-area target, and the first
+    rise whose curve wins ``spot`` by ``min_margin`` is the row's
+    answer.  All (row, rise) pairs whose bracket holds the target halve
+    in lockstep.  The area is linear in ``k`` only in exact arithmetic,
+    so every halving compares the area as the one-row solver computes
+    it: :func:`_row_dots` of the same points.
+    """
+    points = np.full((len(ep), len(_GRID)), np.nan)
+    target_area = 1.0 - ep / 2.0
+    k_ceiling = 1.0 / (1.0 + min_margin) - 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_floor = idle / spot + 1e-6
+    failure = np.select(
+        [
+            ~((0.1 <= spot) & (spot <= 0.9 + 1e-9)),
+            idle >= target_area - 1e-9,
+            k_floor >= k_ceiling,
+        ],
+        [_NOT_INTERIOR, _UNREACHABLE, _KNEE_IDLE],
+        0,
+    ).astype(np.int8)
+    rows = np.flatnonzero(failure == 0)
+    if not rows.size:
+        return points, failure
+    owner = np.repeat(rows, len(_KNEE_RISE_LADDER))
+    rise = np.tile(_KNEE_RISE_LADDER, len(rows))
+    low, high = k_floor[owner], np.full(len(owner), k_ceiling)
+    target = target_area[owner]
+    shape = _knee_shape(idle[owner], spot[owner], rise)
+    bracketed = np.flatnonzero(
+        (_row_dots(shape(low)) <= target) & (target <= _row_dots(shape(high)))
+    )
+    owner, low, high, target = owner[bracketed], low[bracketed], high[bracketed], target[bracketed]
+    shape = _knee_shape(idle[owner], spot[owner], rise[bracketed])
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        below = _row_dots(shape(mid)) < target
+        low, high = np.where(below, mid, low), np.where(below, high, mid)
+    curves = shape(0.5 * (low + high))
+    won = np.flatnonzero(_peak_margin_ok(curves, spot[owner], min_margin))
+    # Pairs run in (row, ladder) order: a row's first winner is its rise.
+    winners, first = np.unique(owner[won], return_index=True)
+    points[winners] = curves[won[first]]
+    failure[np.setdiff1d(rows, winners)] = _NO_KNEE
+    return points, failure
 
 
 def solve_knee_curve(
     ep: float,
     idle: float,
     peak_spot: float,
-    min_margin: float = 0.004,
+    min_margin: float = _MIN_MARGIN,
 ) -> GridCurve:
     """Solve a knee curve with the requested EP, idle, and peak spot.
 
-    The knee depth ``k`` (knee power as a fraction of the ideal power at
-    the spot; k < 1 puts the efficiency peak there) is bisected against
-    the grid-area target for each rise exponent in turn.  The returned
-    curve's grid efficiency peaks at ``peak_spot`` with at least
-    ``min_margin`` relative separation from the runner-up level, so the
-    measurement noise added later cannot move the spot.
+    One row of :func:`_knee_batch`: the knee depth ``k`` (knee power as
+    a fraction of the ideal power at the spot; k < 1 puts the
+    efficiency peak there) is bisected against the grid-area target for
+    each rise exponent in turn.  The returned curve's grid efficiency
+    peaks at ``peak_spot`` with at least ``min_margin`` relative
+    separation from the runner-up level, so the measurement noise added
+    later cannot move the spot.
     """
-    if not 0.1 <= peak_spot <= 0.9 + 1e-9:
-        raise CurveSolveError("knee curves are for interior peak spots")
-    target_area = 1.0 - ep / 2.0
-    if idle >= target_area - 1e-9:
-        raise CurveSolveError(f"EP {ep:.3f} unreachable with idle {idle:.3f}")
-    k_floor = idle / peak_spot + 1e-6
-    k_ceiling = 1.0 / (1.0 + min_margin) - 1e-6
-    if k_floor >= k_ceiling:
-        raise CurveSolveError(
-            f"idle {idle:.3f} too high for a knee at {peak_spot:.0%}"
-        )
-
-    # The ramp shape and the post-knee offsets do not depend on the
-    # bisected depth k, so hoist them out of the 60-step loop.  Every
-    # expression below mirrors :func:`_knee_points` operation for
-    # operation (same order, same intermediates), so ``area`` returns
-    # bit-identical floats to the unhoisted form.
-    pre = _GRID <= peak_spot + 1e-12
-    post = ~pre
-    post_diff = _GRID[post] - peak_spot
-    one_minus_spot = 1.0 - peak_spot
-    points = np.empty_like(_GRID)
-
-    for rise in _KNEE_RISE_LADDER:
-        with np.errstate(divide="ignore"):
-            ramp_pre = np.power(
-                np.where(_GRID > 0, _GRID / peak_spot, 0.0), rise
-            )[pre]
-
-        def area(k: float) -> float:
-            knee_power = k * peak_spot
-            points[pre] = idle + (knee_power - idle) * ramp_pre
-            points[post] = (
-                knee_power + (1.0 - knee_power) * post_diff / one_minus_spot
-            )
-            points[0] = idle
-            points[-1] = 1.0
-            return float(_TRAPZ_W @ points)
-
-        low, high = k_floor, k_ceiling
-        if not area(low) <= target_area <= area(high):
-            continue
-        for _ in range(60):
-            mid = 0.5 * (low + high)
-            if area(mid) < target_area:
-                low = mid
-            else:
-                high = mid
-        k = 0.5 * (low + high)
-        curve = GridCurve(points=tuple(_knee_points(idle, peak_spot, k, rise)))
-        rel = curve.ee_relative()[1:]
-        order = np.argsort(rel)[::-1]
-        peak_level = float(_GRID[1:][order[0]])
-        margin = rel[order[0]] / rel[order[1]] - 1.0
-        if abs(peak_level - peak_spot) < 1e-9 and margin >= min_margin:
-            return curve
-    raise CurveSolveError(
-        f"no knee curve for EP {ep:.3f}, idle {idle:.3f}, spot {peak_spot:.0%}"
+    points, failure = _knee_batch(
+        np.array([ep], dtype=float), np.array([idle], dtype=float),
+        np.array([peak_spot], dtype=float), min_margin,
     )
+    if failure[0]:
+        raise _failure(failure[0], ep, idle, peak_spot)
+    return GridCurve(points=tuple(points[0]))
 
 
 def minimum_idle_for_spot(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,21 +29,68 @@ from repro.dataset.curve_family import (
     GridCurve,
     PowerCurve,
     _candidate,
-    _knee_points,
-    _pair_area_terms,
     _COARSE,
     _GRID,
     _KNEE_RISE_LADDER,
     _S_HIGH_EXPONENTS,
     _S_LOW_EXPONENTS,
+    _SPOT_TOLERANCE,
     _TRAPZ_W,
-    solve_curve,
     solve_curve_with_fallback,
 )
 from repro.dataset.schema import LoadLevel, SpecPowerResult
 from repro.dataset.synthesis import _LEVEL_GRID, _Stub, _idle_from_ep
 from repro.metrics.ep import TARGET_LOADS_DESCENDING
 from repro.power.microarch import CATALOG
+
+
+def _pair_area_terms(idle: float, low_exp, high_exp):
+    """Grid area of an (u**low, u**high) pair: base + t * gain.
+
+    ``low_exp`` may be scalar or array; ``high_exp`` likewise (they
+    broadcast).  ``t`` is the weight of the high-exponent term.
+    """
+    low = np.atleast_1d(np.asarray(low_exp, dtype=float))
+    high = np.atleast_1d(np.asarray(high_exp, dtype=float))
+    low_curves = np.power(_GRID[None, :], low[:, None])
+    high_curves = np.power(_GRID[None, :], high[:, None])
+    base = idle + (1.0 - idle) * (low_curves @ _TRAPZ_W)
+    gain = (1.0 - idle) * ((high_curves - low_curves) @ _TRAPZ_W)
+    return base, gain
+
+
+def solve_curve_reference(ep: float, idle: float, peak_spot: float = 1.0) -> PowerCurve:
+    """Original one-row solver: guards, then the three branches in order."""
+    if not 0.0 < idle < 1.0:
+        raise CurveSolveError(f"idle fraction {idle} out of range")
+    if not 0.0 < ep < 2.0:
+        raise CurveSolveError(f"EP {ep} out of range")
+    target_area = 1.0 - ep / 2.0
+    if idle >= target_area - 1e-9:
+        raise CurveSolveError(f"EP {ep:.3f} unreachable with idle {idle:.3f}")
+
+    if peak_spot >= 1.0 - 1e-9:
+        return _solve_peak_at_full_reference(ep, idle, target_area)
+    try:
+        curve = _solve_interior_peak_reference(
+            ep, idle, target_area, peak_spot, _SPOT_TOLERANCE
+        )
+        if _grid_margin_ok_reference(curve, peak_spot):
+            return curve
+    except CurveSolveError:
+        pass
+    return solve_knee_curve_reference(ep, idle, peak_spot)
+
+
+def _grid_margin_ok_reference(
+    curve, peak_spot: float, min_margin: float = 0.004
+) -> bool:
+    """Original margin check (one curve, argsort of its grid efficiency)."""
+    rel = np.asarray(curve.ee_relative(_GRID))[1:]
+    order = np.argsort(rel)[::-1]
+    peak_level = float(_GRID[1:][order[0]])
+    margin = rel[order[0]] / rel[order[1]] - 1.0
+    return abs(peak_level - peak_spot) < 1e-9 and margin >= min_margin
 
 
 def _approx_interior_peaks_reference(
@@ -146,6 +193,21 @@ def _solve_interior_peak_reference(
     return _candidate(idle, low, high, t)
 
 
+def _knee_points(idle: float, spot: float, k: float, rise: float) -> np.ndarray:
+    """Grid power of a knee curve: concave rise to k*spot, then linear."""
+    knee_power = k * spot
+    points = np.empty_like(_GRID)
+    pre = _GRID <= spot + 1e-12
+    with np.errstate(divide="ignore"):
+        ramp = np.power(np.where(_GRID > 0, _GRID / spot, 0.0), rise)
+    points[pre] = idle + (knee_power - idle) * ramp[pre]
+    post = ~pre
+    points[post] = knee_power + (1.0 - knee_power) * (_GRID[post] - spot) / (1.0 - spot)
+    points[0] = idle
+    points[-1] = 1.0
+    return points
+
+
 def solve_knee_curve_reference(
     ep: float,
     idle: float,
@@ -197,7 +259,9 @@ def _solve_curves_reference(stubs: List[_Stub]) -> None:
         if stub.power_points is not None:
             continue  # explicit pinned curve
         try:
-            curve = solve_curve(stub.ep_target, stub.idle_fraction, stub.peak_spot)
+            curve = solve_curve_reference(
+                stub.ep_target, stub.idle_fraction, stub.peak_spot
+            )
         except CurveSolveError:
             curve = solve_curve_with_fallback(
                 stub.ep_target, stub.idle_fraction, stub.peak_spot
@@ -305,18 +369,41 @@ def _noisy_levels_reference(
     return levels, float(idle_w)
 
 
+def _enforce_ee_monotonicity_reference(results: List[SpecPowerResult]) -> None:
+    """Original envelope pass (every score derived through the record)."""
+    by_year: Dict[int, List[SpecPowerResult]] = {}
+    for result in results:
+        by_year.setdefault(result.hw_year, []).append(result)
+    previous_max = 0.0
+    for year in sorted(by_year):
+        best = max(by_year[year], key=lambda r: r.overall_score)
+        if best.overall_score <= previous_max:
+            scale = previous_max * 1.03 / best.overall_score
+            best.levels = [
+                LoadLevel(
+                    target_load=level.target_load,
+                    ssj_ops=level.ssj_ops * scale,
+                    average_power_w=level.average_power_w,
+                )
+                for level in best.levels
+            ]
+            best.invalidate_cache()
+        previous_max = best.overall_score
+
+
 #: (module, attribute, replacement) triples swapped in by the context
 #: manager below.  The live call sites all resolve these names through
 #: their module globals, so the swap reroutes them without any import
-#: gymnastics.
+#: gymnastics.  Swapping ``solve_curve`` also reroutes the fallback
+#: solvers (``solve_curve_with_fallback``, ``minimum_idle_for_spot``),
+#: which call it by name.
 _SWAPS = (
-    (_cf, "_solve_peak_at_full", _solve_peak_at_full_reference),
-    (_cf, "_solve_interior_peak", _solve_interior_peak_reference),
-    (_cf, "solve_knee_curve", solve_knee_curve_reference),
+    (_cf, "solve_curve", solve_curve_reference),
     (_syn, "_assign_ep_targets", _assign_ep_targets_reference),
     (_syn, "_assign_idle_fractions", _assign_idle_fractions_reference),
     (_syn, "_solve_curves", _solve_curves_reference),
     (_syn, "_noisy_levels", _noisy_levels_reference),
+    (_syn, "_enforce_ee_monotonicity", _enforce_ee_monotonicity_reference),
 )
 
 

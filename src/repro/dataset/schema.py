@@ -13,7 +13,9 @@ percentage, ...) derives from the measurements through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.metrics.curves import (
     above_ideal_zone,
@@ -260,3 +262,34 @@ class SpecPowerResult:
     def invalidate_cache(self) -> None:
         """Drop memoized metrics (call after mutating levels in place)."""
         self._cache.clear()
+
+
+def overall_scores(results: Sequence[SpecPowerResult]) -> np.ndarray:
+    """Every record's :attr:`SpecPowerResult.overall_score`, memoized on each.
+
+    One pass over (records x levels) columns gathered into ascending-load
+    order, whatever order each record lists its levels in.  The columns
+    are C-ordered, and a C-order row sum adds exactly what the one-record
+    property's 1-D sum adds, so every memoized float is the one the
+    property would derive.  The score's input checks hold by
+    construction: :class:`LoadLevel` rejects negative throughput and
+    non-positive power, and the record rejects non-positive idle power.
+    Records that differ in level count derive their own scores.
+    """
+    if len({len(r.levels) for r in results}) != 1:
+        return np.array([r.overall_score for r in results])
+    table = np.array(
+        [
+            [(level.target_load, level.ssj_ops, level.average_power_w) for level in r.levels]
+            for r in results
+        ]
+    )
+    ascending = np.argsort(table[..., 0], axis=1, kind="stable")
+    ops, watts = (
+        np.take_along_axis(table[..., column], ascending, axis=1) for column in (1, 2)
+    )
+    idle_w = np.array([r.active_idle_power_w for r in results])
+    scores = ops.sum(axis=1) / (watts.sum(axis=1) + idle_w)
+    for result, score in zip(results, scores.tolist()):
+        result._cache["score"] = score
+    return scores

@@ -34,8 +34,8 @@ import numpy as np
 
 from repro.dataset import calibration_targets as targets
 from repro.dataset.corpus import Corpus
-from repro.dataset.curve_family import solve_curve_with_fallback, solve_curves
-from repro.dataset.schema import LoadLevel, SpecPowerResult
+from repro.dataset.curve_family import solve_curve_rows, solve_curve_with_fallback
+from repro.dataset.schema import LoadLevel, SpecPowerResult, overall_scores
 from repro.metrics.ep import TARGET_LOADS_DESCENDING, UTILIZATION_LEVELS
 from repro.power.microarch import CATALOG, Codename
 
@@ -430,26 +430,29 @@ def _solve_curves(stubs: List[_Stub]) -> None:
     # Pinned curves stay explicit; every other stub is solved in one
     # batch, and only the rows it cannot serve relax their targets.
     open_stubs = [stub for stub in stubs if stub.power_points is None]
-    curves = solve_curves(
+    rows = solve_curve_rows(
         [stub.ep_target for stub in open_stubs],
         [stub.idle_fraction for stub in open_stubs],
         [stub.peak_spot for stub in open_stubs],
     )
-    for stub, curve in zip(open_stubs, curves):
-        if curve is None:
-            curve = solve_curve_with_fallback(
-                stub.ep_target, stub.idle_fraction, stub.peak_spot
-            )
-        stub.idle_fraction = curve.idle
-        grid_power = curve.grid_power()
-        stub.power_points = grid_power
-        # Earliest peak-efficiency measurement level, straight from the
-        # grid powers (elementwise identical to ``grid_peak_spots()[0]``
-        # for both curve classes, without re-evaluating the curve).
-        levels = _LEVEL_GRID[1:]
-        rel = levels / grid_power[1:]
-        best = rel.max()
-        stub.peak_spot = float(levels[rel >= best * (1.0 - 1e-9)][0])
+    points, idle = rows.points, rows.idle.copy()
+    for r in np.flatnonzero(rows.failure):
+        stub = open_stubs[r]
+        curve = solve_curve_with_fallback(
+            stub.ep_target, stub.idle_fraction, stub.peak_spot
+        )
+        points[r], idle[r] = curve.grid_power(), curve.idle
+    # Earliest peak-efficiency measurement level per row, straight from
+    # the grid powers (elementwise identical to ``grid_peak_spots()[0]``
+    # for both curve classes, without re-evaluating any curve).
+    levels = _LEVEL_GRID[1:]
+    rel = levels / points[:, 1:]
+    best = rel.max(axis=1)
+    spots = levels[np.argmax(rel >= best[:, None] * (1.0 - 1e-9), axis=1)]
+    for stub, row, row_idle, spot in zip(open_stubs, points, idle.tolist(), spots.tolist()):
+        stub.idle_fraction = row_idle
+        stub.power_points = row.copy()
+        stub.peak_spot = spot
 
 
 # -- pass 8: efficiency scale ---------------------------------------------------------------
@@ -744,23 +747,27 @@ def _enforce_ee_monotonicity(results: List[SpecPowerResult]) -> None:
     A final calibration pass: when sampling noise leaves one year's best
     score below the previous year's, the year's best server is scaled up
     to restore the published monotone envelope (every other statistic
-    is untouched).
+    is untouched).  Every score comes from one :func:`overall_scores`
+    pass, which also primes each record's score memo.
     """
-    by_year: Dict[int, List[SpecPowerResult]] = {}
-    for result in results:
-        by_year.setdefault(result.hw_year, []).append(result)
+    scores = overall_scores(results)
+    years = np.array([result.hw_year for result in results])
     previous_max = 0.0
-    for year in sorted(by_year):
-        best = max(by_year[year], key=lambda r: r.overall_score)
-        if best.overall_score <= previous_max:
-            scale = previous_max * 1.03 / best.overall_score
-            best.levels = [
+    for year in np.unique(years):
+        members = np.flatnonzero(years == year)
+        best = members[np.argmax(scores[members])]  # first best, as max() picks
+        score = float(scores[best])
+        if score <= previous_max:
+            result = results[best]
+            scale = previous_max * 1.03 / score
+            result.levels = [
                 LoadLevel(
                     target_load=level.target_load,
                     ssj_ops=level.ssj_ops * scale,
                     average_power_w=level.average_power_w,
                 )
-                for level in best.levels
+                for level in result.levels
             ]
-            best.invalidate_cache()
-        previous_max = best.overall_score
+            result.invalidate_cache()
+            score = scores[best] = result.overall_score
+        previous_max = score

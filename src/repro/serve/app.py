@@ -120,7 +120,7 @@ class ServeApp:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.seed = seed
-        self.context = QueryContext(cache=cache)
+        self.context = QueryContext(cache=cache, seed=seed)
         self.stats = ServeStats()
         self.memo_size = memo_size
         self.memo_bytes = memo_bytes

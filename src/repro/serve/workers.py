@@ -214,7 +214,7 @@ def _worker_main(
         context = warm_context
     else:  # spawn platforms and respawned replacement workers
         cache = ArtifactCache(cache_dir) if cache_dir else None
-        context = QueryContext(cache=cache)
+        context = QueryContext(cache=cache, seed=seed)
     columns = context.corpus(seed).columns()
     mode, payload = transport
     if mode == "spill":

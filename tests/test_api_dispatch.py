@@ -21,7 +21,7 @@ from repro.api import (
     ValidateQuery,
     execute,
 )
-from repro.api.dispatch import MAX_COHORTS
+from repro.api.dispatch import MAX_COHORTS, MAX_SEEDS
 from repro.api.requests import REQUEST_TYPES
 from repro.api.result import API_VERSION
 from repro.cluster import engines
@@ -208,6 +208,47 @@ class TestCohortMemo:
             sizes[0] + 1,
             sizes[1] + 1,
         )
+
+
+class TestSeedMemos:
+    """Per-seed memos are one LRU; the pinned seed never leaves it."""
+
+    @staticmethod
+    def seeds_held(context):
+        """Every seed any per-seed memo still holds something for."""
+        return (
+            set(context._corpora) | set(context._studies)
+            | {key[0] for key in context._slices}
+            | {key[0] for key in context._cdfs}
+            | {key[0] for key in context._cohorts}
+        )
+
+    def test_distinct_seeds_stay_bounded(self):
+        context = QueryContext(seed=2016)
+        execute(StatsQuery(metric="ep"), context)
+        first = CdfQuery(metric="ep", seed=1, lo=0.6, hi=0.7)
+        before = execute(first, context)
+        execute(ReplayQuery(seed=1, servers=3, steps=4), context)
+        for seed in range(2, 2 + MAX_SEEDS + 2):
+            execute(StatsQuery(metric="ep", seed=seed), context)
+        assert MAX_SEEDS == 4
+        assert len(context._corpora) <= MAX_SEEDS
+        assert 2016 in context._corpora
+        assert self.seeds_held(context) <= set(context._seeds)
+        assert 1 not in self.seeds_held(context)
+        # The evicted seed regenerates and answers byte for byte alike.
+        after = execute(first, context)
+        assert payload_json(after) == payload_json(before)
+        assert after.text == before.text
+        assert after.provenance.spec_key == before.provenance.spec_key
+
+    def test_adopted_study_is_never_evicted(self, study):
+        context = QueryContext()
+        context.adopt_study(study)
+        for seed in range(MAX_SEEDS + 2):
+            execute(StatsQuery(metric="ep", seed=seed), context)
+        assert context.corpus(study.seed) is study.corpus
+        assert len(context._corpora) <= MAX_SEEDS
 
 
 class TestCdfMemo:

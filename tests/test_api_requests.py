@@ -146,6 +146,12 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match="finite"):
             request_from_dict(json.loads(wire))
 
+    @pytest.mark.parametrize("family", ["list", "stats", "cdf", "placement"])
+    def test_negative_seed_names_the_field(self, family):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            request_from_dict({"family": family, "seed": -1})
+        assert request_from_dict({"family": family, "seed": 2**70}).seed == 2**70
+
     def test_well_typed_values_are_kept_verbatim(self):
         # An int is a valid float and None a valid Optional; neither is
         # coerced, so the spec key is exactly what was sent.

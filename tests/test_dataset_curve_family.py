@@ -6,6 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.curve_family import (
+    _FAILURES,
+    _GRID,
+    _TRAPZ_W,
     _S_GAIN_AREAS,
     _S_HIGH_EXPONENTS,
     _S_LOW_AREAS,
@@ -17,16 +20,23 @@ from repro.dataset.curve_family import (
     _candidate,
     _coarse_peaks,
     _interior_peak_batch,
+    _knee_batch,
+    _mix_points,
+    _peak_at_full_batch,
+    _row_dots,
     ep_of_linear_curve,
     minimum_idle_for_spot,
     solve_curve,
+    solve_curve_rows,
     solve_curve_with_fallback,
-    solve_curves,
     solve_knee_curve,
 )
 from repro.dataset.reference import (
     _approx_interior_peaks_reference,
     _solve_interior_peak_reference,
+    _solve_peak_at_full_reference,
+    solve_curve_reference,
+    solve_knee_curve_reference,
 )
 
 
@@ -122,7 +132,7 @@ class TestSolveCurve:
     def test_guards_reject_the_same_rows_on_both_paths(self, ep, idle, message):
         with pytest.raises(CurveSolveError, match=message):
             solve_curve(ep, idle, 0.8)
-        assert solve_curves([ep, 0.8], [idle, 0.25], [0.8, 0.8])[0] is None
+        assert solve_curve_rows([ep, 0.8], [idle, 0.25], [0.8, 0.8]).curve(0) is None
 
     def test_peak_at_full_with_high_ep_needs_interior(self):
         # EP far above 1 - idle/2 cannot peak at 100%.
@@ -293,10 +303,85 @@ class TestInteriorPeakBatch:
     )
     @settings(max_examples=30, deadline=None)
     def test_solve_curves_equals_solve_curve(self, rows):
-        def scalar(row):
-            try:
-                return solve_curve(*row)
-            except CurveSolveError:
-                return None
+        # The oracle is the original one-row solver: ``solve_curve`` is
+        # now a one-row call into the same batch kernels.
+        batch = solve_curve_rows(*zip(*rows))
+        for r, row in enumerate(rows):
+            expected = _outcome(solve_curve_reference, *row)
+            if isinstance(expected, str):
+                assert batch.curve(r) is None
+                assert _failure_text(batch.failure[r], *row) == expected
+                assert _outcome(solve_curve, *row) == expected
+            else:
+                assert batch.curve(r) == expected
 
-        assert solve_curves(*zip(*rows)) == [scalar(row) for row in rows]
+
+# -- the batched peak-at-100% and knee kernels against the originals --------------
+
+
+def _outcome(solve, *args):
+    """A one-row original's curve, or its error text."""
+    try:
+        return solve(*args)
+    except CurveSolveError as error:
+        return str(error)
+
+
+def _failure_text(code, ep, idle, spot):
+    return _FAILURES[code].format(ep=ep, idle=idle, spot=spot)
+
+
+#: A generated (EP, idle) grid over and beyond the corpus range.
+GRID_EP, GRID_IDLE = (
+    column.ravel()
+    for column in np.meshgrid(np.linspace(0.15, 1.3, 18), np.linspace(0.02, 0.9, 15))
+)
+
+
+class TestBatchKernelsEqualOriginals:
+    def test_row_dots_are_the_one_row_dot(self):
+        rows = np.random.default_rng(5).random((4000, len(_GRID)))
+        expected = np.array([_TRAPZ_W @ row for row in rows])
+        assert np.array_equal(_row_dots(rows), expected)
+        assert np.array_equal(_row_dots(rows.reshape(40, 100, -1)), expected.reshape(40, 100))
+
+    def test_peak_at_full_rows(self):
+        # Two straight-line rows (EP = 1 - idle) join the grid.
+        grid_ep, grid_idle = np.append(GRID_EP, [0.75, 0.65]), np.append(GRID_IDLE, [0.25, 0.35])
+        high, t, failure = _peak_at_full_batch(grid_idle, 1.0 - grid_ep / 2.0)
+        solved = failure == 0
+        points = _mix_points(grid_idle[solved], np.ones(solved.sum()), high[solved], t[solved])
+        row_points = iter(points)
+        kinds = set()
+        for r, (ep, idle) in enumerate(zip(grid_ep.tolist(), grid_idle.tolist())):
+            expected = _outcome(_solve_peak_at_full_reference, ep, idle, 1.0 - ep / 2.0)
+            if failure[r]:
+                assert expected == _failure_text(failure[r], ep, idle, 1.0)
+                kinds.add(failure[r])
+                continue
+            assert expected == _candidate(idle, 1.0, float(high[r]), float(t[r]))
+            assert np.array_equal(next(row_points), expected.grid_power())
+            kinds.add(("linear" if t[r] == 0.0 else "concave" if high[r] < 1.0 else "convex"))
+        assert kinds == {"linear", "concave", "convex", 4, 5}
+
+    @pytest.mark.parametrize("spot", [0.6, 0.7, 0.8, 0.9])
+    def test_knee_rows(self, spot):
+        rows = np.flatnonzero(GRID_EP > 0.45)
+        ep, idle = GRID_EP[rows], GRID_IDLE[rows]
+        points, failure = _knee_batch(ep, idle, np.full(len(rows), spot), 0.004)
+        kinds = set()
+        for r, (row_ep, row_idle) in enumerate(zip(ep.tolist(), idle.tolist())):
+            expected = _outcome(solve_knee_curve_reference, row_ep, row_idle, spot)
+            if failure[r]:
+                assert expected == _failure_text(failure[r], row_ep, row_idle, spot)
+            else:
+                assert np.array_equal(points[r], expected.grid_power())
+            kinds.add(failure[r])
+        assert {0, 3, 8} <= kinds
+
+    def test_knee_guards(self):
+        # Not interior, idle too high for a knee, no rise wins, unreachable.
+        for args in ((0.7, 0.3, 1.0), (0.5, 0.6, 0.6), (0.8, 0.59, 0.8), (0.6, 0.75, 0.6)):
+            expected = _outcome(solve_knee_curve_reference, *args)
+            assert isinstance(expected, str)
+            assert _outcome(solve_knee_curve, *args) == expected

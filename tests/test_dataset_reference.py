@@ -21,6 +21,7 @@ from repro.dataset.reference import (
     results_equal,
 )
 from repro.dataset.synthesis import generate_corpus
+from repro.metrics.ee import overall_score
 
 #: Content fingerprints the vectorized generator must keep emitting,
 #: keyed by (seed, structural_effects).  Seeds 1 and 12 and the
@@ -59,6 +60,25 @@ class TestVectorizedEqualsReference:
         assert len(reference) == len(optimized)
         for live, original in zip(optimized, reference):
             assert results_equal(live, original)
+
+    # Seed 7 is test_secondary_seed_bit_identical.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6])
+    def test_seeds_zero_to_seven_bit_identical(self, seed):
+        optimized = generate_corpus(seed)
+        reference = generate_corpus_reference(seed)
+        assert len(reference) == len(optimized)
+        for live, original in zip(optimized, reference):
+            assert results_equal(live, original)
+            assert live.overall_score == original.overall_score
+
+    def test_primed_scores_equal_a_fresh_derivation(self):
+        for record in generate_corpus(seed=3):
+            levels = record.sorted_levels()
+            assert record._cache["score"] == overall_score(
+                [level.ssj_ops for level in levels],
+                [level.average_power_w for level in levels],
+                record.active_idle_power_w,
+            )
 
     def test_fingerprints_match_too(self, corpus):
         assert generate_corpus_reference(2016).fingerprint() == corpus.fingerprint()

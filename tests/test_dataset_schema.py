@@ -1,8 +1,10 @@
 """Unit tests for the result schema and its derived metrics."""
 
+import random
+
 import pytest
 
-from repro.dataset.schema import LoadLevel, SpecPowerResult
+from repro.dataset.schema import LoadLevel, SpecPowerResult, overall_scores
 from repro.power.microarch import Codename, Family, Vendor
 
 
@@ -96,6 +98,28 @@ class TestDerivedMetrics:
         ]
         result.invalidate_cache()
         assert result.overall_score == pytest.approx(before * 2.0, rel=1e-6)
+
+    def test_batch_scores_equal_fresh_ones_in_any_level_order(self):
+        rng = random.Random(3)
+        results = [
+            _result(idle=rng.uniform(0.05, 0.6), shape=lambda u, p=rng.uniform(0.5, 3): u**p,
+                    peak_w=rng.uniform(50, 900), max_ops=rng.uniform(1e4, 1e7))
+            for _ in range(60)
+        ]
+        for result in results[::2]:
+            rng.shuffle(result.levels)
+        scores = overall_scores(results)
+        for result, score in zip(results, scores.tolist()):
+            assert result._cache["score"] == score
+            result.invalidate_cache()
+            assert result.overall_score == score
+
+    def test_batch_scores_of_mixed_level_counts(self):
+        short = _result()
+        short.levels = short.levels[5:]
+        results = [_result(idle=0.2), short]
+        assert overall_scores(results).tolist() == [r.overall_score for r in results]
+        assert overall_scores([]).shape == (0,)
 
     def test_linear_deviation_zero_for_linear(self):
         assert _result().linear_deviation == pytest.approx(0.0, abs=1e-12)

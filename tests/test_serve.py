@@ -206,6 +206,13 @@ class TestErrors:
         assert app.stats.errors == 1
 
 
+    def test_negative_seed_is_400_naming_the_field(self):
+        app = ServeApp()
+        status, body = run_async(app.handle_query({"family": "stats", "seed": -1}))
+        assert status == 400
+        assert decode(body)["error"] == "seed must be non-negative, got -1"
+
+
 @pytest.fixture(scope="module")
 def daemon():
     handle = start_daemon_thread()
