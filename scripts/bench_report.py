@@ -220,7 +220,8 @@ def bench_fleet_replay(n_servers: int, steps: int, scalar_steps: int):
     most of the trace's high-demand steps).
     """
     from repro.cluster.batch_trace import BatchTraceReplay
-    from repro.cluster.trace import DemandTrace, _replay_scalar, diurnal_trace
+    from repro.cluster.reference import _replay_scalar
+    from repro.cluster.trace import DemandTrace, diurnal_trace
 
     fleet = _tiled_fleet(n_servers)
     trace = diurnal_trace(steps_per_day=steps, noise=0.0)

@@ -263,8 +263,8 @@ class QueryContext:
                 self._fleets[key] = base
             return self._fleets[key]
 
-    def engine(self, request: QueryRequest) -> Optional[Any]:
-        """The engine for the request's fleet, or ``None`` for scalar.
+    def engine(self, request: QueryRequest) -> Any:
+        """The engine for the request's fleet.
 
         Looked up once per cohort through
         :func:`repro.cluster.engines.fleet_engine`, so every execution
@@ -302,8 +302,8 @@ class QueryContext:
                 )
             return self._capacities[key]
 
-    def replayer(self, request: QueryRequest) -> Optional[Any]:
-        """The trace replayer over :meth:`engine`, or ``None`` (memoized)."""
+    def replayer(self, request: QueryRequest) -> Any:
+        """The trace replayer over :meth:`engine` (memoized)."""
         key = self.fleet_key(request)
         with self._lock:
             self._touch(key)
@@ -606,20 +606,13 @@ def _outcome_payload(outcome) -> Dict[str, Any]:
 @handler(PlacementQuery)
 def _handle_placement(request: PlacementQuery, context: QueryContext) -> Built:
     """One placement what-if at a fractional demand level."""
-    from repro.cluster.placement import _POLICIES
-
     fleet = context.fleet(request)
     demand = request.demand_fraction * context.fleet_capacity(request)
     engine = context.engine(request)
-    if engine is not None:
-        if request.policy == "ep-aware":
-            outcome = engine.ep_aware(demand, request.power_off_unused)
-        else:
-            outcome = engine.pack_to_full(demand, request.power_off_unused)
+    if request.policy == "ep-aware":
+        outcome = engine.ep_aware(demand, request.power_off_unused)
     else:
-        outcome = _POLICIES[request.policy](
-            fleet, demand, request.power_off_unused
-        )
+        outcome = engine.pack_to_full(demand, request.power_off_unused)
     payload = _outcome_payload(outcome)
     payload.update(
         {
@@ -639,21 +632,10 @@ def _handle_placement(request: PlacementQuery, context: QueryContext) -> Built:
 @handler(CapQuery)
 def _handle_cap(request: CapQuery, context: QueryContext) -> Built:
     """Maximum throughput under a fixed power budget."""
-    from repro.cluster.placement import _max_throughput_under_cap_scalar
-
     fleet = context.fleet(request)
-    engine = context.engine(request)
-    if engine is not None:
-        outcome = engine.max_throughput_under_cap(
-            request.power_cap_w, request.policy, request.power_off_unused
-        )
-    else:
-        outcome = _max_throughput_under_cap_scalar(
-            fleet,
-            request.power_cap_w,
-            request.policy,
-            request.power_off_unused,
-        )
+    outcome = context.engine(request).max_throughput_under_cap(
+        request.power_cap_w, request.policy, request.power_off_unused
+    )
     payload = _outcome_payload(outcome)
     payload.update(
         {"power_cap_w": request.power_cap_w, "fleet_size": len(fleet)}
@@ -669,21 +651,9 @@ def _handle_cap(request: CapQuery, context: QueryContext) -> Built:
 @handler(ReplayQuery)
 def _handle_replay(request: ReplayQuery, context: QueryContext) -> Built:
     """Replay a diurnal day over the tiled cohort."""
-    from repro.cluster.trace import _replay_scalar
-
-    trace = context.trace(request.steps)
-    replayer = context.replayer(request)
-    if replayer is not None:
-        outcome = replayer.replay(
-            trace, request.policy, request.power_off_unused
-        )
-    else:
-        outcome = _replay_scalar(
-            context.fleet(request),
-            trace,
-            request.policy,
-            request.power_off_unused,
-        )
+    outcome = context.replayer(request).replay(
+        context.trace(request.steps), request.policy, request.power_off_unused
+    )
     payload = {
         "servers": request.servers,
         "steps": request.steps,

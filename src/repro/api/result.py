@@ -29,8 +29,8 @@ class Provenance:
     spec_key: str
     engine_version: str
     api_version: str = API_VERSION
-    #: The fleet engine that ran: ``scalar``, ``columnar`` or
-    #: ``sharded`` for the fleet families, ``-`` for every other family.
+    #: The fleet engine that ran: ``columnar`` or ``sharded`` for the
+    #: fleet families, ``-`` for every other family.
     fleet_backend: str = "-"
     cache_hit: bool = False
     wall_time_ms: float = 0.0

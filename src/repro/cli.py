@@ -16,7 +16,7 @@ Commands:
 * ``ensemble --seeds N --jobs J`` -- recompute the headline statistics
   over N seeded corpora and print mean/CI summaries;
 * ``fleet-replay --servers N --steps S`` -- replay a diurnal day over
-  a tiled N-server fleet; the engine (scalar, columnar, or sharded
+  a tiled N-server fleet; the engine (columnar, or sharded
   out-of-core for million-server fleets) follows the fleet size;
 * ``query <spec.json|{...}>`` -- execute any :mod:`repro.api` request
   given as JSON (inline or ``@file``) and print the result envelope;

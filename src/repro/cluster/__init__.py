@@ -24,8 +24,12 @@ to 100%.
   million-server fleets streamed shard by shard through the same day
   loop and cap search, still bit-identical to the columnar engine;
 * :mod:`repro.cluster.engines` -- :func:`fleet_engine`, the one place
-  that picks scalar loops, columnar, or sharded for a fleet, by its
-  shape and size alone (there is no user-facing switch).
+  that picks the columnar or sharded engine for a fleet, by its size
+  alone (there is no user-facing switch), and refuses with
+  ``ValueError`` the fleets the columns cannot represent (empty,
+  mixed load grids, duplicate ids);
+* :mod:`repro.cluster.reference` -- the per-server scalar loops the
+  engines replaced, kept as the parity tests' oracle.
 """
 
 from repro.cluster.batch_placement import BatchPlacementEngine

@@ -1,11 +1,12 @@
 """Columnar placement and job scheduling over :class:`FleetArrays`.
 
-:class:`BatchPlacementEngine` is the vectorized twin of the scalar
-paths in :mod:`repro.cluster.placement` and :mod:`repro.cluster.jobs`,
-under the same bit-identity contract as the batch SSJ engine (PR 2):
-the scalar implementations stay in place as the reference, and the
-parity tests assert *exact* equality of every output object on the
-seed corpus fleet.
+:class:`BatchPlacementEngine` runs the placement policies of
+:mod:`repro.cluster.placement` and the schedulers of
+:mod:`repro.cluster.jobs`, under the same bit-identity contract as
+the batch SSJ engine: the per-server scalar loops it replaced live on
+in :mod:`repro.cluster.reference` as the oracle, and the parity tests
+assert *exact* equality of every output object on the seed corpus
+fleet.
 
 The structure of the speedup: ranking keys and curve evaluations --
 one ``np.interp`` per server in the scalar code -- are batched through
@@ -43,7 +44,7 @@ from repro.cluster.fleet_arrays import (
     _interp_rows,
     _invert_row,
 )
-from repro.cluster.placement import Assignment, PlacementOutcome
+from repro.cluster.placement import POLICIES, Assignment, PlacementOutcome
 
 #: Up to this many rows are inverted one at a time through the
 #: single-row kernels (the open rows of a placement, typically one);
@@ -71,7 +72,7 @@ def cap_search(
     """
     if power_cap_w <= 0.0:
         raise ValueError("power cap must be positive")
-    if policy not in ("ep-aware", "pack-to-full"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     low, high = 0.0, total_capacity
     for _ in range(40):
@@ -134,7 +135,7 @@ class BatchPlacementEngine:
     def place(
         self, policy: str, demand_ops: float, power_off_unused: bool = False
     ) -> PlacementOutcome:
-        """Dispatch on the policy name used by the scalar registries."""
+        """Dispatch on a :data:`~repro.cluster.placement.POLICIES` name."""
         if policy == "pack-to-full":
             return self.pack_to_full(demand_ops, power_off_unused)
         if policy == "ep-aware":

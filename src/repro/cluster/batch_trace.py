@@ -1,11 +1,12 @@
 """Engine trace replay: the one day loop both fleet engines run.
 
-:func:`replay_day` is the engines' twin of
+:func:`replay_day` is the day loop behind
 :func:`repro.cluster.trace.replay_trace`: each step runs the engine's
 reduced ``place_totals`` path (no per-server ``Assignment`` objects in
 the hot loop), and the energy/served accumulators stay as sequential
-Python float additions in step order -- the scalar replay's
-accumulation order is part of the bit-identity contract.
+Python float additions in step order -- the reference replay's
+(:mod:`repro.cluster.reference`) accumulation order is part of the
+bit-identity contract.
 :class:`BatchTraceReplay` drives it over the columnar engine and
 :class:`~repro.cluster.sharded.ShardedTraceReplay` over the sharded
 one.
@@ -17,7 +18,8 @@ from typing import Dict, Optional
 
 from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.fleet_arrays import streamed_level_capacity
-from repro.cluster.trace import _POLICIES, DemandTrace, TraceOutcome, diurnal_trace
+from repro.cluster.placement import POLICIES
+from repro.cluster.trace import DemandTrace, TraceOutcome, diurnal_trace
 
 
 def replay_day(
@@ -32,9 +34,9 @@ def replay_day(
     ``capacity`` is the fleet's :func:`streamed_level_capacity`, which
     turns each step's demand fraction into ops.
     """
-    if policy not in _POLICIES:
+    if policy not in POLICIES:
         raise ValueError(
-            f"unknown policy {policy!r}; choose from {sorted(_POLICIES)}"
+            f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
         )
     step_hours = 24.0 / trace.steps
     energy_wh = 0.0
@@ -71,7 +73,7 @@ class DayReplay:
             trace = diurnal_trace(noise=0.0)
         return {
             policy: self.replay(trace, policy, power_off_unused)
-            for policy in _POLICIES
+            for policy in POLICIES
         }
 
 

@@ -2,8 +2,9 @@
 
 Every fleet operation in :mod:`repro.cluster` ultimately evaluates the
 same two piecewise-linear curves per server -- power vs. utilization
-and throughput vs. utilization -- and the scalar paths re-interpolate
-them one server at a time through :func:`np.interp`.  A 10k-server
+and throughput vs. utilization -- and the scalar reference loops
+(:mod:`repro.cluster.reference`) re-interpolate them one server at a
+time through :func:`np.interp`.  A 10k-server
 fleet replayed over a 96-step day costs on the order of a million
 scalar interpolations that way.
 
@@ -111,7 +112,7 @@ def _bisect_rows(
     """Batched inverse of the per-row throughput curves.
 
     Replicates the scalar 50-iteration bisection of
-    ``placement._utilization_for`` per element, with the same edge
+    ``reference._utilization_for`` per element, with the same edge
     guards: non-positive targets sit at 0.0 utilization and targets at
     or beyond a row's full capacity (including every positive target
     on a zero-capacity row) pin to 1.0.  Elements resolved by the
@@ -262,7 +263,7 @@ class FleetArrays:
     reports the same target loads -- true of the whole synthesized
     corpus) and unique result ids; a fleet violating either raises
     ``ValueError``, which :func:`repro.cluster.engines.fleet_engine`
-    treats as "fall back to the scalar path".
+    passes on to its caller.
     """
 
     def __init__(
@@ -392,7 +393,7 @@ class FleetArrays:
         """Invert the throughput curves, batched.
 
         Replicates the scalar 50-iteration bisection of
-        ``placement._utilization_for`` per element, with the same edge
+        ``reference._utilization_for`` per element, with the same edge
         guards: non-positive targets sit at 0.0 utilization and
         targets at or beyond a server's full capacity (including every
         positive target on a zero-capacity server) pin to 1.0.

@@ -16,12 +16,12 @@ Both return a :class:`Schedule` with per-server loads and fleet power.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.fleet_arrays import _invert_row
 from repro.cluster.regions import power_at, throughput_at
 from repro.dataset.schema import SpecPowerResult
 
@@ -51,24 +51,17 @@ class Schedule:
     def utilization_of(self, server: SpecPowerResult) -> float:
         """Utilization this schedule drives the server to.
 
-        Mirrors ``placement._utilization_for``'s edge handling: a
-        non-positive load sits at 0.0 and a load at or beyond the
-        server's capacity (including any load on a zero-capacity
-        server) pins to 1.0.
+        The fleet engines' single-row inversion on the server's
+        ``[0.0] + target loads`` grid: a non-positive load sits at 0.0
+        and a load at or beyond the server's capacity (including any
+        load on a zero-capacity server) pins to 1.0.
         """
-        load = self.loads_ops.get(server.result_id, 0.0)
-        if load <= 0.0:
-            return 0.0
-        if load >= throughput_at(server, 1.0):
-            return 1.0
-        low, high = 0.0, 1.0
-        for _ in range(50):
-            mid = 0.5 * (low + high)
-            if throughput_at(server, mid) < load:
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        levels = server.sorted_levels()
+        return _invert_row(
+            [0.0] + [level.target_load for level in levels],
+            [0.0] + [level.ssj_ops for level in levels],
+            self.loads_ops.get(server.result_id, 0.0),
+        )
 
     @property
     def total_power_w(self) -> float:
@@ -85,12 +78,13 @@ class Schedule:
         return sum(1 for load in self.loads_ops.values() if load > 0.0)
 
 
-class JobScheduler(ABC):
+class JobScheduler:
     """Assigns a batch of jobs onto a fleet.
 
-    Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
-    engine are scheduled by its bit-identical twin; the rest run the
-    per-server probe loops of :meth:`_schedule_scalar`, the reference.
+    Scheduling runs on the engine
+    :func:`repro.cluster.engines.fleet_engine` picks for the fleet; the
+    per-server probe loops it replaced are the parity oracle in
+    :mod:`repro.cluster.reference`.
     """
 
     name: str = "abstract"
@@ -101,51 +95,17 @@ class JobScheduler(ABC):
         """Place every job (or report it unplaced) on the fleet."""
         from repro.cluster.engines import fleet_engine
 
-        engine = fleet_engine(fleet)
-        if engine is not None:
-            return engine.schedule(self.name, jobs)
-        return self._schedule_scalar(fleet, jobs)
-
-    @abstractmethod
-    def _schedule_scalar(
-        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
-    ) -> Schedule:
-        """The per-server reference loop."""
-
-    @staticmethod
-    def _capacity(server: SpecPowerResult, cap_utilization: float) -> float:
-        return throughput_at(server, cap_utilization)
+        return fleet_engine(fleet).schedule(self.name, jobs)
 
 
 class FirstFitDecreasing(JobScheduler):
-    """Bin-pack jobs to 100% utilization, best full-load EE first."""
+    """Bin-pack jobs to 100% utilization, best full-load EE first.
+
+    Largest jobs first, each onto the first server (in descending
+    full-load efficiency) with room for it up to 100%.
+    """
 
     name = "first-fit-decreasing"
-
-    def _schedule_scalar(
-        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
-    ) -> Schedule:
-        """Largest jobs first onto the most efficient-at-full servers."""
-        schedule = Schedule(policy=self.name, fleet=list(fleet))
-        ranked = sorted(
-            fleet,
-            key=lambda s: -(
-                throughput_at(s, 1.0) / power_at(s, 1.0)
-            ),
-        )
-        ordered_jobs = sorted(jobs, key=lambda job: -job.demand_ops)
-        for job in ordered_jobs:
-            placed = False
-            for server in ranked:
-                used = schedule.loads_ops.get(server.result_id, 0.0)
-                if used + job.demand_ops <= self._capacity(server, 1.0) + 1e-9:
-                    schedule.loads_ops[server.result_id] = used + job.demand_ops
-                    schedule.assignments[job.job_id] = server.result_id
-                    placed = True
-                    break
-            if not placed:
-                schedule.unplaced.append(job.job_id)
-        return schedule
 
 
 class PeakSpotAware(JobScheduler):
@@ -157,38 +117,6 @@ class PeakSpotAware(JobScheduler):
     """
 
     name = "peak-spot-aware"
-
-    def _schedule_scalar(
-        self, fleet: Sequence[SpecPowerResult], jobs: Sequence[Job]
-    ) -> Schedule:
-        """Capped pass at the peak spots, then an uncapped spill pass."""
-        schedule = Schedule(policy=self.name, fleet=list(fleet))
-        ranked = sorted(fleet, key=lambda s: -s.peak_ee)
-        ordered_jobs = sorted(jobs, key=lambda job: -job.demand_ops)
-        spill: List[Job] = []
-        for job in ordered_jobs:
-            if not self._place(schedule, ranked, job, capped=True):
-                spill.append(job)
-        for job in spill:
-            if not self._place(schedule, ranked, job, capped=False):
-                schedule.unplaced.append(job.job_id)
-        return schedule
-
-    def _place(
-        self,
-        schedule: Schedule,
-        ranked: Sequence[SpecPowerResult],
-        job: Job,
-        capped: bool,
-    ) -> bool:
-        for server in ranked:
-            cap = server.primary_peak_spot if capped else 1.0
-            used = schedule.loads_ops.get(server.result_id, 0.0)
-            if used + job.demand_ops <= self._capacity(server, cap) + 1e-9:
-                schedule.loads_ops[server.result_id] = used + job.demand_ops
-                schedule.assignments[job.job_id] = server.result_id
-                return True
-        return False
 
 
 def synthesize_jobs(

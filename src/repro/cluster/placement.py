@@ -24,9 +24,8 @@ an ablation via ``power_off_unused=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.cluster.regions import efficiency_at, power_at, throughput_at
 from repro.dataset.schema import SpecPowerResult
 
 
@@ -72,14 +71,8 @@ class PlacementOutcome:
         return self.placed_ops >= self.demand_ops * (1.0 - rtol)
 
 
-def _capacity(server: SpecPowerResult, utilization: float) -> float:
-    return throughput_at(server, utilization)
-
-
-def _fleet_engine(fleet: Sequence[SpecPowerResult]):
-    from repro.cluster.engines import fleet_engine
-
-    return fleet_engine(fleet)
+#: The placement policies, in the order ``compare_policies`` reports.
+POLICIES = ("pack-to-full", "ep-aware")
 
 
 def pack_to_full_placement(
@@ -95,44 +88,14 @@ def pack_to_full_placement(
     last loaded server runs partially loaded.  Unused servers idle
     (or are powered off when ``power_off_unused``).
 
-    Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
-    engine get its bit-identical answer; the rest run the scalar loop.
+    Runs on the engine :func:`repro.cluster.engines.fleet_engine` picks
+    for the fleet.
     """
     if demand_ops < 0.0:
         raise ValueError("demand cannot be negative")
-    engine = _fleet_engine(fleet)
-    if engine is not None:
-        return engine.pack_to_full(demand_ops, power_off_unused)
-    return _pack_to_full_scalar(fleet, demand_ops, power_off_unused)
+    from repro.cluster.engines import fleet_engine
 
-
-def _pack_to_full_scalar(
-    fleet: Sequence[SpecPowerResult],
-    demand_ops: float,
-    power_off_unused: bool = False,
-) -> PlacementOutcome:
-    """The per-server reference loop of :func:`pack_to_full_placement`."""
-    outcome = PlacementOutcome(policy="pack-to-full", demand_ops=demand_ops)
-    remaining = demand_ops
-    ranked = sorted(fleet, key=lambda s: -efficiency_at(s, 1.0))
-    for server in ranked:
-        if remaining <= 0.0:
-            if not power_off_unused:
-                outcome.unused_idle_power_w += power_at(server, 0.0)
-            continue
-        full_capacity = _capacity(server, 1.0)
-        take = min(remaining, full_capacity)
-        utilization = _utilization_for(server, take)
-        outcome.assignments.append(
-            Assignment(
-                server=server,
-                utilization=utilization,
-                throughput_ops=take,
-                power_w=power_at(server, utilization),
-            )
-        )
-        remaining -= take
-    return outcome
+    return fleet_engine(fleet).pack_to_full(demand_ops, power_off_unused)
 
 
 def ep_aware_placement(
@@ -152,88 +115,9 @@ def ep_aware_placement(
     """
     if demand_ops < 0.0:
         raise ValueError("demand cannot be negative")
-    engine = _fleet_engine(fleet)
-    if engine is not None:
-        return engine.ep_aware(demand_ops, power_off_unused)
-    return _ep_aware_scalar(fleet, demand_ops, power_off_unused)
+    from repro.cluster.engines import fleet_engine
 
-
-def _ep_aware_scalar(
-    fleet: Sequence[SpecPowerResult],
-    demand_ops: float,
-    power_off_unused: bool = False,
-) -> PlacementOutcome:
-    """The per-server reference loop of :func:`ep_aware_placement`."""
-    outcome = PlacementOutcome(policy="ep-aware", demand_ops=demand_ops)
-    remaining = demand_ops
-    ranked = sorted(fleet, key=lambda s: -s.peak_ee)
-    assignments: Dict[str, Assignment] = {}
-    for server in ranked:
-        if remaining <= 0.0:
-            break
-        spot = server.primary_peak_spot
-        take = min(remaining, _capacity(server, spot))
-        utilization = _utilization_for(server, take)
-        assignments[server.result_id] = Assignment(
-            server=server,
-            utilization=utilization,
-            throughput_ops=take,
-            power_w=power_at(server, utilization),
-        )
-        remaining -= take
-    if remaining > 0.0:
-        for server in ranked:
-            if remaining <= 0.0:
-                break
-            current = assignments.get(server.result_id)
-            already = current.throughput_ops if current else 0.0
-            extra = min(remaining, _capacity(server, 1.0) - already)
-            if extra <= 0.0:
-                continue
-            total = already + extra
-            utilization = _utilization_for(server, total)
-            assignments[server.result_id] = Assignment(
-                server=server,
-                utilization=utilization,
-                throughput_ops=total,
-                power_w=power_at(server, utilization),
-            )
-            remaining -= extra
-    outcome.assignments = list(assignments.values())
-    if not power_off_unused:
-        # Start at 0.0: with every server assigned the sum is empty,
-        # and the engines report a float zero, not the int 0.
-        outcome.unused_idle_power_w = sum(
-            (
-                power_at(server, 0.0)
-                for server in fleet
-                if server.result_id not in assignments
-            ),
-            0.0,
-        )
-    return outcome
-
-
-def _utilization_for(server: SpecPowerResult, throughput_ops: float) -> float:
-    """Invert the (piecewise-linear) throughput curve.
-
-    Edge cases are explicit: non-positive requests sit at 0.0, and a
-    request at or beyond the server's full capacity -- including any
-    positive request against a zero-capacity (all-zero ops) server --
-    pins to 1.0 instead of bisecting toward it.
-    """
-    if throughput_ops <= 0.0:
-        return 0.0
-    if throughput_ops >= _capacity(server, 1.0):
-        return 1.0
-    low, high = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (low + high)
-        if throughput_at(server, mid) < throughput_ops:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
+    return fleet_engine(fleet).ep_aware(demand_ops, power_off_unused)
 
 
 def max_throughput_under_cap(
@@ -247,48 +131,11 @@ def max_throughput_under_cap(
 
     Bisects the demand level and returns the placement at the highest
     demand whose total power fits under the cap -- the "more jobs under
-    fixed power supply" experiment of Section V.C.  An engine, when the
-    fleet gets one, is built once and reused across all 40 probes.
+    fixed power supply" experiment of Section V.C.  The fleet's engine
+    is built once and reused across all 40 probes.
     """
-    if power_cap_w <= 0.0:
-        raise ValueError("power cap must be positive")
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    engine = _fleet_engine(fleet)
-    if engine is not None:
-        return engine.max_throughput_under_cap(
-            power_cap_w, policy, power_off_unused
-        )
-    return _max_throughput_under_cap_scalar(
-        fleet, power_cap_w, policy, power_off_unused
+    from repro.cluster.engines import fleet_engine
+
+    return fleet_engine(fleet).max_throughput_under_cap(
+        power_cap_w, policy, power_off_unused
     )
-
-
-def _max_throughput_under_cap_scalar(
-    fleet: Sequence[SpecPowerResult],
-    power_cap_w: float,
-    policy: str = "ep-aware",
-    power_off_unused: bool = False,
-) -> PlacementOutcome:
-    """The reference bisection of :func:`max_throughput_under_cap`."""
-    place = _POLICIES[policy]
-    total_capacity = sum(_capacity(server, 1.0) for server in fleet)
-    low, high = 0.0, total_capacity
-    best = place(fleet, 0.0, power_off_unused)
-    for _ in range(40):
-        mid = 0.5 * (low + high)
-        outcome = place(fleet, mid, power_off_unused)
-        if outcome.total_power_w <= power_cap_w and outcome.satisfied():
-            best = outcome
-            low = mid
-        else:
-            high = mid
-    return best
-
-
-#: Policy name -> scalar reference loop, in the order
-#: ``compare_policies`` reports (the trace replay's registry too).
-_POLICIES: Dict[str, Callable[..., PlacementOutcome]] = {
-    "pack-to-full": _pack_to_full_scalar,
-    "ep-aware": _ep_aware_scalar,
-}

@@ -538,7 +538,7 @@ class ShardedFleetEngine:
     def _summary(
         self, policy: str, demand_ops: float, power_off_unused: bool
     ) -> Tuple[float, float, float, int]:
-        """Dispatch on the policy name used by the scalar registries."""
+        """Dispatch on a :data:`~repro.cluster.placement.POLICIES` name."""
         if policy == "pack-to-full":
             return self._pack_summary(demand_ops, power_off_unused)
         if policy == "ep-aware":
@@ -586,7 +586,7 @@ class ShardedFleetEngine:
     def place(
         self, policy: str, demand_ops: float, power_off_unused: bool = False
     ) -> SummaryOutcome:
-        """Dispatch on the policy name used by the scalar registries."""
+        """Dispatch on a :data:`~repro.cluster.placement.POLICIES` name."""
         return self._outcome(
             policy,
             demand_ops,

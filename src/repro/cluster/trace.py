@@ -16,7 +16,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.placement import _POLICIES, PlacementOutcome
 from repro.dataset.schema import SpecPowerResult
 
 #: ``np.exp`` and ``math.exp`` disagree in the last ulp on some
@@ -117,12 +116,6 @@ class TraceOutcome:
         return self.energy_kwh / self.served_gops
 
 
-def _replayer(fleet: Sequence[SpecPowerResult]):
-    from repro.cluster.engines import fleet_engine, trace_replayer
-
-    return trace_replayer(fleet_engine(fleet))
-
-
 def replay_trace(
     fleet: Sequence[SpecPowerResult],
     trace: DemandTrace,
@@ -132,53 +125,15 @@ def replay_trace(
 ) -> TraceOutcome:
     """Integrate fleet energy while serving the trace under a policy.
 
-    Fleets that :func:`repro.cluster.engines.fleet_engine` routes to an
-    engine replay through the engines' bit-identical day loop
+    Replays through the day loop of the engine
+    :func:`repro.cluster.engines.fleet_engine` picks for the fleet
     (:class:`~repro.cluster.batch_trace.BatchTraceReplay` or
-    :class:`~repro.cluster.sharded.ShardedTraceReplay`); the rest run
-    the scalar one.
+    :class:`~repro.cluster.sharded.ShardedTraceReplay`).
     """
-    replayer = _replayer(fleet)
-    if replayer is not None:
-        return replayer.replay(trace, policy, power_off_unused)
-    return _replay_scalar(fleet, trace, policy, power_off_unused)
+    from repro.cluster.engines import fleet_engine, trace_replayer
 
-
-def _replay_scalar(
-    fleet: Sequence[SpecPowerResult],
-    trace: DemandTrace,
-    policy: str = "ep-aware",
-    power_off_unused: bool = False,
-) -> TraceOutcome:
-    """The per-step reference loop of :func:`replay_trace`."""
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; choose from {sorted(_POLICIES)}")
-    place = _POLICIES[policy]
-    capacity = sum(
-        level.ssj_ops
-        for server in fleet
-        for level in server.levels
-        if level.target_load == 1.0
-    )
-    step_hours = 24.0 / trace.steps
-    energy_wh = 0.0
-    served_ops_h = 0.0
-    unserved = 0
-    for fraction in trace.demand_fraction:
-        outcome: PlacementOutcome = place(
-            fleet, fraction * capacity, power_off_unused
-        )
-        if not outcome.satisfied():
-            unserved += 1
-        energy_wh += outcome.total_power_w * step_hours
-        served_ops_h += outcome.placed_ops * step_hours
-    return TraceOutcome(
-        policy=policy,
-        energy_kwh=energy_wh / 1000.0,
-        served_gops=served_ops_h * 3600.0 / 1e9,
-        step_hours=step_hours,
-        unserved_steps=unserved,
-    )
+    replayer = trace_replayer(fleet_engine(fleet))
+    return replayer.replay(trace, policy, power_off_unused)
 
 
 def compare_policies(
@@ -187,16 +142,11 @@ def compare_policies(
     *,
     power_off_unused: bool = False,
 ) -> Dict[str, TraceOutcome]:
-    """Replay the same trace under every policy."""
-    if trace is None:
-        trace = diurnal_trace(noise=0.0)
-    replayer = _replayer(fleet)
-    if replayer is not None:
-        return replayer.compare_policies(trace, power_off_unused)
-    return {
-        policy: _replay_scalar(fleet, trace, policy, power_off_unused)
-        for policy in _POLICIES
-    }
+    """Replay the same trace (default: the noiseless day) under every policy."""
+    from repro.cluster.engines import fleet_engine, trace_replayer
+
+    replayer = trace_replayer(fleet_engine(fleet))
+    return replayer.compare_policies(trace, power_off_unused)
 
 
 def daily_saving(outcomes: Dict[str, TraceOutcome]) -> float:

@@ -7,19 +7,12 @@ resources it depends on (for example the Table II hardware sweeps,
 which several figures reuse), and classification tags.  The execution
 engine in :mod:`repro.core.executor` consumes these specs to schedule
 builds topologically and share dependency work.
-
-Compatibility: ``REGISTRY[fid]`` used to be a plain
-``(method-name, description)`` tuple.  :class:`ArtifactSpec` still
-unpacks and indexes like that 2-tuple (with a ``DeprecationWarning``),
-so pre-existing callers keep working; new code should read the named
-attributes instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.study import FigureResult, Study
@@ -65,33 +58,6 @@ class ArtifactSpec:
         if callable(self.builder):
             return getattr(self.builder, "__name__", repr(self.builder))
         return self.builder
-
-    # -- legacy (method-name, description) tuple shim -------------------------
-
-    def _as_tuple(self) -> Tuple[str, str]:
-        return (self.builder_name, self.description)
-
-    def _warn_tuple_access(self) -> None:
-        warnings.warn(
-            "REGISTRY entries are ArtifactSpec dataclasses now; use "
-            ".builder/.description instead of tuple indexing/unpacking",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        """Unpack like the legacy ``(method, description)`` tuple."""
-        self._warn_tuple_access()
-        return iter(self._as_tuple())
-
-    def __getitem__(self, index: int) -> str:
-        """Index like the legacy ``(method, description)`` tuple."""
-        self._warn_tuple_access()
-        return self._as_tuple()[index]
-
-    def __len__(self) -> int:
-        """Length of the legacy tuple form (always 2)."""
-        return 2
 
 
 def _spec(

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ArtifactQuery,
@@ -22,7 +24,7 @@ from repro.api import (
     execute,
 )
 from repro.api.dispatch import MAX_COHORTS, MAX_SEEDS
-from repro.api.requests import REQUEST_TYPES
+from repro.api.requests import POLICIES, REQUEST_TYPES
 from repro.api.result import API_VERSION
 from repro.cluster import engines
 from repro.cluster.batch_placement import BatchPlacementEngine
@@ -32,7 +34,6 @@ from repro.core.study import Study
 
 #: engine name -> a stand-in for ``fleet_engine`` that forces it
 FORCED_ENGINES = {
-    "scalar": lambda fleet: None,
     "columnar": BatchPlacementEngine,
     "sharded": ShardedFleetEngine,
 }
@@ -306,8 +307,8 @@ class TestBackendParity:
     def test_placement_backends_bit_identical(self, monkeypatch, study):
         for request in (
             PlacementQuery(servers=30),
-            # every server assigned: the scalar loop once reported an
-            # int 0 of unused idle power where the engines report 0.0
+            # every server assigned: both engines must report a float
+            # 0.0 of unused idle power
             PlacementQuery(servers=20, demand_fraction=0.764941533),
         ):
             results = every_engine(monkeypatch, study, request)
@@ -325,6 +326,56 @@ class TestBackendParity:
         assert len({r.provenance.spec_key for r in results.values()}) == 1
 
 
+#: The seeds the fleet-query property draws from: few, so corpora stay warm.
+PROPERTY_SEEDS = (2016, 7)
+
+
+@st.composite
+def fleet_queries(draw):
+    """A valid placement, cap or replay query; its cohort may be empty."""
+    kind = draw(st.sampled_from((PlacementQuery, CapQuery, ReplayQuery)))
+    # The corpus spans 2004-2016, so some year ranges select no server.
+    year_min = draw(st.integers(2002, 2018))
+    fields = {
+        "seed": draw(st.sampled_from(PROPERTY_SEEDS)),
+        "hw_year_min": year_min,
+        "hw_year_max": draw(st.integers(year_min, 2018)),
+        "policy": draw(st.sampled_from(POLICIES)),
+        "power_off_unused": draw(st.booleans()),
+    }
+    servers = st.integers(1, 400)
+    if kind is ReplayQuery:
+        return ReplayQuery(
+            servers=draw(servers), steps=draw(st.integers(4, 12)), **fields
+        )
+    fields["servers"] = draw(st.none() | servers)
+    if kind is CapQuery:
+        return CapQuery(power_cap_w=draw(st.floats(1.0, 1e6)), **fields)
+    return PlacementQuery(demand_fraction=draw(st.floats(0.0, 1.0)), **fields)
+
+
+@pytest.fixture(scope="module")
+def property_context():
+    return QueryContext()
+
+
+class TestFleetBackendProperty:
+    """Every fleet query is refused for an empty cohort or runs on an engine."""
+
+    @given(query=fleet_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_refused_or_served_by_an_engine(self, property_context, query):
+        cohort = property_context.corpus_slice(
+            query.seed, query.hw_year_min, query.hw_year_max
+        ).results()
+        if not cohort:
+            with pytest.raises(ValueError, match="empty fleet cohort"):
+                execute(query, property_context)
+            return
+        result = execute(query, property_context)
+        assert result.provenance.fleet_backend in {"columnar", "sharded"}
+
+
 class TestDiskCache:
     def test_round_trip_serves_identical_payload(self, tmp_path):
         cache = ArtifactCache(tmp_path / "store")
@@ -336,12 +387,12 @@ class TestDiskCache:
         assert payload_json(first) == payload_json(second)
         assert first.text == second.text
 
-    def test_scalar_write_serves_columnar_read(
+    def test_sharded_write_serves_columnar_read(
         self, tmp_path, monkeypatch, study
     ):
         cache = ArtifactCache(tmp_path / "store")
         request = ReplayQuery(servers=30, steps=8)
-        forced_execute(monkeypatch, study, request, "scalar", cache)
+        forced_execute(monkeypatch, study, request, "sharded", cache)
         hit = forced_execute(monkeypatch, study, request, "columnar", cache)
         assert hit.provenance.cache_hit  # engines share one entry
         assert hit.provenance.fleet_backend == "columnar"

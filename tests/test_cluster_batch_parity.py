@@ -1,12 +1,12 @@
 """Bit-identity tests for the columnar fleet engines.
 
 The contract (same as the batch SSJ engine's parity suite): the scalar
-loops in ``placement.py``, ``jobs.py``, and ``trace.py`` are the
-reference, and the columnar twins must reproduce every output object
-*exactly* -- same floats, same ordering, same dict insertion order --
-on the seed corpus fleet.  No tolerances anywhere in this file.  Each
-pair calls the private scalar loop and a directly built engine, so the
-comparison does not depend on which engine ``fleet_engine`` picks.
+loops in ``cluster/reference.py`` are the reference, and the columnar
+engine must reproduce every output object *exactly* -- same floats,
+same ordering, same dict insertion order -- on the seed corpus fleet.
+No tolerances anywhere in this file.  Each pair calls the private
+scalar loop and a directly built engine, so the comparison does not
+depend on which engine ``fleet_engine`` picks.
 """
 
 import json
@@ -23,22 +23,27 @@ from repro.cluster.jobs import (
     FirstFitDecreasing,
     Job,
     PeakSpotAware,
+    Schedule,
     compare_schedulers,
     synthesize_jobs,
 )
 from repro.cluster.placement import (
-    _POLICIES,
-    _ep_aware_scalar,
-    _max_throughput_under_cap_scalar,
-    _pack_to_full_scalar,
-    _utilization_for,
+    POLICIES,
     ep_aware_placement,
     max_throughput_under_cap,
     pack_to_full_placement,
 )
+from repro.cluster.reference import (
+    _POLICY_LOOPS,
+    _SCHEDULER_LOOPS,
+    _ep_aware_scalar,
+    _max_throughput_under_cap_scalar,
+    _pack_to_full_scalar,
+    _replay_scalar,
+    _utilization_for,
+)
 from repro.cluster.regions import power_at, throughput_at
 from repro.cluster.trace import (
-    _replay_scalar,
     compare_policies,
     daily_saving,
     diurnal_trace,
@@ -262,15 +267,16 @@ class TestPlacementParity:
         for fraction in (0.0, 0.3, 0.764941533, 0.95, 1.0):
             demand = fraction * cohort_capacity
             for power_off in (False, True):
-                scalar = _POLICIES[policy](cohort, demand, power_off)
+                scalar = _POLICY_LOOPS[policy](cohort, demand, power_off)
                 columnar = twin.place(policy, demand, power_off)
                 assert json.dumps(_outcome_payload(scalar)) == json.dumps(
                     _outcome_payload(columnar)
                 )
 
     def test_negative_demand_raises_on_both(self, fleet):
-        # Duplicate ids keep the doubled fleet on the scalar fallback.
-        for cohort in (fleet + fleet, fleet[:20]):  # scalar route, engine route
+        # The demand is checked before an engine is built, so even a
+        # fleet no engine takes (duplicate ids) reports the demand.
+        for cohort in (fleet + fleet, fleet[:20]):
             with pytest.raises(ValueError, match="negative"):
                 pack_to_full_placement(cohort, -1.0)
             with pytest.raises(ValueError, match="negative"):
@@ -313,10 +319,38 @@ class TestSchedulerParity:
 
     @pytest.mark.parametrize("scheduler", [FirstFitDecreasing, PeakSpotAware])
     def test_bit_identical_schedules(self, fleet, engine, jobs, scheduler):
-        scalar = scheduler()._schedule_scalar(fleet, jobs)
+        scalar = _SCHEDULER_LOOPS[scheduler.name](fleet, jobs)
         columnar = engine.schedule(scheduler.name, jobs)
         self._schedules_equal(scalar, columnar)
         assert "job-huge" in scalar.unplaced
+
+    def test_total_power_matches_the_reference_inversion(self, corpus):
+        # The jobs artifact's cohort and batch: every server of both
+        # schedules, through the engines' row inversion and the oracle.
+        cohort = list(corpus.by_hw_year_range(2014, 2016))
+        batch = synthesize_jobs(cohort, demand_fraction=0.5, seed=4)
+        for schedule in compare_schedulers(cohort, batch).values():
+            utils = [
+                _utilization_for(s, schedule.loads_ops.get(s.result_id, 0.0))
+                for s in schedule.fleet
+            ]
+            assert [schedule.utilization_of(s) for s in schedule.fleet] == utils
+            assert schedule.total_power_w == sum(
+                power_at(s, u) for s, u in zip(schedule.fleet, utils)
+            )
+
+    def test_utilization_of_edges_match_the_reference(self, fleet):
+        for server in fleet:
+            cap = throughput_at(server, 1.0)
+            for load in (-1.0, 0.0, 0.37 * cap, cap, 2.0 * cap):
+                schedule = Schedule(
+                    policy="first-fit-decreasing",
+                    loads_ops={server.result_id: load},
+                    fleet=[server],
+                )
+                assert schedule.utilization_of(server) == _utilization_for(
+                    server, load
+                )
 
     def test_compare_schedulers_parity(self, fleet, engine, jobs):
         routed = compare_schedulers(fleet, jobs)
@@ -328,7 +362,7 @@ class TestSchedulerParity:
         twin = BatchPlacementEngine(small)
         routed_small = compare_schedulers(small, small_jobs)
         for scheduler in (FirstFitDecreasing, PeakSpotAware):
-            scalar = scheduler()._schedule_scalar(small, small_jobs)
+            scalar = _SCHEDULER_LOOPS[scheduler.name](small, small_jobs)
             self._schedules_equal(scalar, twin.schedule(scheduler.name, small_jobs))
             self._schedules_equal(scalar, routed_small[scheduler.name])
 
@@ -353,7 +387,7 @@ class TestReplayParity:
 
     def test_compare_policies_and_saving(self, fleet, engine, trace):
         scalar = {
-            policy: _replay_scalar(fleet, trace, policy) for policy in _POLICIES
+            policy: _replay_scalar(fleet, trace, policy) for policy in POLICIES
         }
         columnar = BatchTraceReplay(engine).compare_policies(trace)
         assert list(scalar) == list(columnar)
@@ -362,7 +396,7 @@ class TestReplayParity:
         assert compare_policies(fleet, trace) == columnar
         small = fleet[:20]
         small_scalar = {
-            policy: _replay_scalar(small, trace, policy) for policy in _POLICIES
+            policy: _replay_scalar(small, trace, policy) for policy in POLICIES
         }
         assert small_scalar == BatchTraceReplay(small).compare_policies(trace)
         assert compare_policies(small, trace) == small_scalar
@@ -388,17 +422,21 @@ class TestBackendRouting:
             pack_to_full_placement(fleet, 0.0, fleet_backend="gpu")
 
     def test_scalar_resolves_to_none(self, fleet):
-        # Only fleets the columns cannot represent stay on the scalar
-        # loops; every other fleet, however small, gets an engine.
+        # There is no scalar route: fleets the columns cannot represent
+        # are refused, and every other fleet, however small, gets an
+        # engine.
         for unrepresentable in ([], fleet + fleet):
-            assert fleet_engine(unrepresentable) is None
-            assert trace_replayer(fleet_engine(unrepresentable)) is None
+            with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+                fleet_engine(unrepresentable)
+            with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+                replay_trace(unrepresentable, diurnal_trace(noise=0.0))
         assert isinstance(fleet_engine(fleet[:5]), BatchPlacementEngine)
 
     def test_auto_small_fleet_falls_back(self, fleet):
-        # A small fleet falls back only when its grids disagree.
+        # A small fleet is refused only when its grids disagree.
         mixed = [_server("a"), _server("b", loads=[0.25, 0.5, 0.75, 1.0])]
-        assert fleet_engine(mixed) is None
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            fleet_engine(mixed)
         assert isinstance(fleet_engine(fleet[:2]), BatchPlacementEngine)
 
     def test_auto_large_fleet_engages(self, fleet):
@@ -408,7 +446,8 @@ class TestBackendRouting:
 
     def test_auto_falls_back_on_duplicate_ids(self, fleet):
         doubled = fleet + fleet
-        assert fleet_engine(doubled) is None
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            fleet_engine(doubled)
         with pytest.raises(ValueError, match="duplicate"):
             BatchPlacementEngine(doubled)
 
@@ -429,7 +468,7 @@ class TestBackendRouting:
         # the scalar reference loops on the same cohort.
         figure = study.figure("placement")
         cohort = list(corpus.by_hw_year_range(2013, 2016))
-        assert fleet_engine(cohort) is not None
+        assert isinstance(fleet_engine(cohort), BatchPlacementEngine)
         demand = figure.series["demand_ops"]
         packed = _pack_to_full_scalar(cohort, demand)
         aware = _ep_aware_scalar(cohort, demand)
@@ -482,7 +521,7 @@ class TestSmallFleetParity:
         for fraction in (0.0, 0.05, 0.3, 0.5, 0.764941533, 0.95, 1.0, 1.2):
             for power_off in (False, True):
                 demand = fraction * capacity
-                scalar = _POLICIES[policy](small, demand, power_off)
+                scalar = _POLICY_LOOPS[policy](small, demand, power_off)
                 assert _outcome_json(engine.place(policy, demand, power_off)) == (
                     _outcome_json(scalar)
                 )
@@ -525,7 +564,7 @@ class TestSmallFleetParity:
     def test_schedulers(self, cohort, scheduler):
         small, engine = cohort
         jobs = synthesize_jobs(small, demand_fraction=0.5, seed=4)
-        scalar = scheduler()._schedule_scalar(small, jobs)
+        scalar = _SCHEDULER_LOOPS[scheduler.name](small, jobs)
         columnar = engine.schedule(scheduler.name, jobs)
         assert _schedule_json(
             columnar, columnar.total_power_w

@@ -24,10 +24,11 @@ def _regridded(server):
 
 class TestSelectorEdges:
     def test_eager_23_vs_24_servers(self, base):
-        # No size cut: one server up is columnar, an empty fleet scalar.
+        # No size cut: one server up is columnar, an empty fleet refused.
         for size in (1, 23, 24):
             assert isinstance(fleet_engine(base[:size]), BatchPlacementEngine)
-        assert fleet_engine([]) is None
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            fleet_engine([])
 
     def test_lazy_99_999_vs_100_000_servers(self, base):
         below = tile_fleet(base, 99_999, lazy=True)
@@ -47,11 +48,14 @@ class TestSelectorEdges:
         mixed = base[:24] + [_regridded(base[0])]
         with pytest.raises(ValueError, match="heterogeneous"):
             BatchPlacementEngine(mixed)
-        assert fleet_engine(mixed) is None
-        assert fleet_engine(tile_fleet(mixed, 1000, lazy=True)) is None
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            fleet_engine(mixed)
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            fleet_engine(tile_fleet(mixed, 1000, lazy=True))
 
     def test_engine_names(self, base):
-        assert engine_name(fleet_engine([])) == "scalar"
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            engine_name(fleet_engine([]))
         assert engine_name(fleet_engine(base[:1])) == "columnar"
         assert engine_name(fleet_engine(base[:24])) == "columnar"
         view = tile_fleet(base, 300, lazy=True)

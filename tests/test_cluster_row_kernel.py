@@ -3,7 +3,7 @@
 ``_interp_row``/``_invert_row`` answer the one marginal server of a
 placement in plain Python floats.  They must equal the batched numpy
 kernels (``_interp_rows``/``_bisect_rows``) elementwise *and* the
-scalar oracle (``np.interp`` and ``placement._utilization_for``), on
+scalar oracle (``np.interp`` and ``reference._utilization_for``), on
 seeded random monotone curves and on every corpus row.  Comparisons
 are on the IEEE bit patterns, so even a signed zero would show.
 """
@@ -21,7 +21,7 @@ from repro.cluster.fleet_arrays import (
     _interp_rows,
     _invert_row,
 )
-from repro.cluster.placement import _utilization_for
+from repro.cluster.reference import _utilization_for
 from repro.cluster.regions import throughput_at
 from repro.dataset.schema import LoadLevel, SpecPowerResult
 from repro.power.microarch import Codename

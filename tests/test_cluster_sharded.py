@@ -26,7 +26,7 @@ from repro.cluster.fleet_arrays import (
     _interp_rows,
     tile_fleet,
 )
-from repro.cluster.placement import _utilization_for
+from repro.cluster.reference import _utilization_for
 from repro.cluster.sharded import (
     ShardedFleetEngine,
     ShardedTraceReplay,
@@ -374,7 +374,8 @@ class TestBackendRouting:
         )
         assert isinstance(trace_replayer(fleet_engine(view)), BatchTraceReplay)
         assert isinstance(trace_replayer(fleet_engine(base[:5])), BatchTraceReplay)
-        assert trace_replayer(fleet_engine([])) is None
+        with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
+            trace_replayer(fleet_engine([]))
 
 
 class TestSchedulerStubs:

@@ -45,23 +45,6 @@ class TestSpecs:
         assert description_of("fig5") == REGISTRY["fig5"].description
 
 
-class TestLegacyTupleShim:
-    def test_tuple_unpacking_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            method_name, description = REGISTRY["fig1"]
-        assert method_name == "_fig01"
-        assert description == REGISTRY["fig1"].description
-
-    def test_index_access_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            assert REGISTRY["fig3"][0] == "_fig03"
-        with pytest.warns(DeprecationWarning):
-            assert REGISTRY["fig3"][1] == REGISTRY["fig3"].description
-
-    def test_len_matches_legacy_tuple(self):
-        assert len(REGISTRY["fig1"]) == 2
-
-
 class TestRegister:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
