@@ -15,7 +15,8 @@ process-pool tier is invisible to clients:
   memo/coalescer/batch collapse) scales >= 2x over the ``--workers 0``
   baseline -- asserted only on machines with >= 4 CPUs (the pool
   cannot beat the baseline without cores to run on; smaller boxes
-  print the measured ratio and skip the assertion).
+  print the measured ratio, report the floor as unverified, and end
+  on ``OK (scaling unverified)`` rather than a plain ``OK``).
 
 CI runs this as the ``serve-scale`` job::
 
@@ -172,9 +173,11 @@ def main() -> int:
             f"on {cpus} cpus"
         )
         print(f"  scaling >= {MIN_SCALING:.1f}x: OK")
+        print("serve-scale smoke: OK")
     else:
-        print(f"  < {SCALING_CPUS} cpus: scaling floor not enforced")
-    print("serve-scale smoke: OK")
+        print(f"  scaling >= {MIN_SCALING:.1f}x: unverified "
+              f"({cpus} cpus < {SCALING_CPUS})")
+        print("serve-scale smoke: OK (scaling unverified)")
     return 0
 
 

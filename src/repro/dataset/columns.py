@@ -27,8 +27,7 @@ stored fingerprint no longer matches the corpus.
 fleet engine: fingerprint-keyed ``.npy`` column files written
 atomically and read back as read-only memory maps, so a
 million-server fleet's derived vectors live on disk (and in the page
-cache) instead of resident memory, and process-pool workers map the
-same bytes zero-copy.
+cache) instead of resident memory.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -188,82 +187,17 @@ class CorpusColumns:
             self._arrays["ops_matrix"],
         )
 
-    # -- disk-spill tier ---------------------------------------------------------
-
-    def spill_matrices(self, store: "ColumnSpillStore"):
-        """Spill the curve matrices to ``store`` and return memmaps.
-
-        Writes ``load_grid``/``power_matrix``/``ops_matrix`` under this
-        store's fingerprint key (skipping files already present) and
-        returns the three arrays re-opened as read-only memory maps.
-        The in-memory copies stay memoized; callers that want the
-        out-of-core representation hold on to the returned maps.
-        """
-        named = {
-            "load_grid": self.load_grid(),
-            "power_matrix": self.power_matrix(),
-            "ops_matrix": self.ops_matrix(),
-        }
-        return tuple(
-            store.ensure(self._fingerprint, name, lambda a=array: a)
-            for name, array in named.items()
-        )
-
-    def adopt_matrices(self, named: Dict[str, np.ndarray]) -> None:
-        """Adopt externally shared curve matrices as this store's own.
-
-        The serve worker tier calls this with read-only memmaps (or
-        shared-memory views) published by its parent process, so a
-        worker's fleet path touches the parent's physical pages
-        instead of duplicating the matrices per process.  ``named``
-        must provide all of ``load_grid``/``power_matrix``/
-        ``ops_matrix``; values are write-protected and bit-identical
-        to what :meth:`load_grid` and friends would have built.
-        """
-        expected = ("load_grid", "power_matrix", "ops_matrix")
-        missing = [name for name in expected if name not in named]
-        if missing:
-            raise KeyError(
-                f"adopt_matrices needs {expected}; missing {missing}"
-            )
-        for name in expected:
-            array = named[name]
-            if array.flags.writeable:
-                array = array.view()
-                array.setflags(write=False)
-            self._arrays[name] = array
-
-    def attach_spilled(self, store: "ColumnSpillStore") -> bool:
-        """Attach this corpus' spilled curve matrices as memmaps.
-
-        The zero-copy half of :meth:`spill_matrices`: re-opens the
-        three matrices a parent process spilled under this corpus'
-        fingerprint as read-only memory maps, so every process that
-        attaches shares one set of page-cache bytes.  Returns ``False``
-        (leaving the in-RAM build path untouched) when any file is
-        absent.
-        """
-        names = ("load_grid", "power_matrix", "ops_matrix")
-        if not all(store.has(self._fingerprint, name) for name in names):
-            return False
-        self.adopt_matrices(
-            {name: store.load(self._fingerprint, name) for name in names}
-        )
-        return True
-
 
 class ColumnSpillStore:
     """Fingerprint-keyed ``.npy`` files: the out-of-core column tier.
 
     Each array lives at ``<root>/<key>/<name>.npy`` where ``key`` is a
-    content fingerprint (a corpus fingerprint, or the sharded engine's
-    fleet-layout hash).  Writes go through a temporary file in the
-    same directory followed by an atomic :func:`os.replace`, so a
-    crashed or concurrent writer can never leave a torn column behind;
-    reads open the file as a read-only memory map
-    (``np.load(mmap_mode="r")``), so the data costs page cache rather
-    than resident memory and forked pool workers share the same
-    physical pages zero-copy.
+    content fingerprint (the sharded engine's fleet-layout hash).
+    Writes go through a temporary file in the same directory followed
+    by an atomic :func:`os.replace`, so a crashed or concurrent writer
+    can never leave a torn column behind; reads open the file as a
+    read-only memory map (``np.load(mmap_mode="r")``), so the data
+    costs page cache rather than resident memory.
 
     The default root is ``$REPRO_SPILL_DIR`` or
     ``<system tmp>/repro_spill``.
@@ -310,36 +244,3 @@ class ColumnSpillStore:
             mmap_mode="r" if mmap else None,
             allow_pickle=False,
         )
-
-    def ensure(
-        self,
-        key: str,
-        name: str,
-        build: Callable[[], np.ndarray],
-        mmap: bool = True,
-    ) -> np.ndarray:
-        """Load the column, building and spilling it first if absent."""
-        if not self.has(key, name):
-            self.save(key, name, build())
-        return self.load(key, name, mmap=mmap)
-
-    def clear(self, key: Optional[str] = None) -> int:
-        """Delete spilled columns (one key, or everything); count files."""
-        if key is not None:
-            directories = [self.root / key]
-        elif self.root.is_dir():
-            directories = [p for p in self.root.iterdir() if p.is_dir()]
-        else:
-            directories = []
-        removed = 0
-        for directory in directories:
-            if not directory.is_dir():
-                continue
-            for entry in sorted(directory.glob("*.npy")):
-                entry.unlink()
-                removed += 1
-            try:
-                directory.rmdir()
-            except OSError:
-                pass
-        return removed

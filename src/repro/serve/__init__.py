@@ -14,9 +14,9 @@ dispatch table:
 
 Compute scales past one core through the process-pool worker tier
 (:mod:`repro.serve.workers`): ``--workers N`` pre-forks N engine
-workers that share the parent's warm corpus state zero-copy and serve
-bit-identical payloads, with sticky spec-key routing and
-restart-once crash recovery.
+workers that inherit the parent's warm corpus state by fork
+(copy-on-write pages) and serve bit-identical payloads, with sticky
+spec-key routing and restart-once crash recovery.
 
 ``python -m repro serve --port 8631`` starts it; POST a request JSON
 to ``/query`` and read back the :class:`~repro.api.QueryResult`

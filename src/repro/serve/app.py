@@ -20,9 +20,9 @@ Computation never runs on the loop itself.  With ``workers=0`` engine
 executions ride the event loop's default thread-pool executor; with
 ``workers=N`` they route to the pre-forked
 :class:`~repro.serve.workers.EngineWorkerPool` (sticky spec-key
-routing, zero-copy warm state, bit-identical payloads), while memo
-hits, validation errors and ``/healthz``/``/stats`` stay on the loop
-either way.
+routing, warm state inherited by fork, bit-identical payloads), while
+memo hits, validation errors and ``/healthz``/``/stats`` stay on the
+loop either way.
 
 Under load the path is guarded by the :mod:`repro.serve.resilience`
 layer: memo hits always succeed, but a computation must pass the
@@ -135,7 +135,9 @@ class ServeApp:
             self._pool = EngineWorkerPool(
                 self.context, seed=seed, size=workers
             )
-        self._fingerprints: Dict[int, str] = {}
+        #: seed -> corpus fingerprint, an LRU bounded by ``memo_size``
+        #: (``seed`` is client-controlled).
+        self._fingerprints: "OrderedDict[int, str]" = OrderedDict()
         self._coalescer = Coalescer()
         self._batch = BatchWindow(
             self._execute_group_pooled if self._pool is not None
@@ -157,16 +159,16 @@ class ServeApp:
     # -- warm-up -----------------------------------------------------------------
 
     def warm(self) -> None:
-        """Load the corpus, column store and fingerprint once, up front.
+        """Load the corpus, column store, curve matrices and fingerprint.
 
         With ``workers > 0`` this also forks the engine worker pool —
-        after the corpus is warm, so every worker starts from the
-        parent's built state (copy-on-write plus the zero-copy spilled
-        matrices) instead of re-synthesizing its own.
+        after the corpus is warm, so every forked worker inherits the
+        parent's built state, curve matrices included, as copy-on-write
+        pages instead of rebuilding its own.
         """
         corpus = self.context.corpus(self.seed)
-        corpus.columns()
-        self._fingerprints[self.seed] = corpus.fingerprint()
+        self._fingerprint_put(self.seed, corpus.fingerprint())
+        corpus.columns().load_grid()  # builds all three curve matrices
         if self._pool is not None:
             self._pool.start()
 
@@ -399,14 +401,22 @@ class ServeApp:
         fingerprint = ""
         if type(request).needs_corpus:
             fingerprint = self._fingerprints.get(request.seed, "")
-            if not fingerprint:
+            if fingerprint:
+                self._fingerprints.move_to_end(request.seed)
+            else:
                 loop = asyncio.get_running_loop()
                 fingerprint = await loop.run_in_executor(
                     None,
                     lambda: self.context.corpus(request.seed).fingerprint(),
                 )
-                self._fingerprints[request.seed] = fingerprint
+                self._fingerprint_put(request.seed, fingerprint)
         return cache_key(fingerprint, spec_suffix(request), ENGINE_VERSION)
+
+    def _fingerprint_put(self, seed: int, fingerprint: str) -> None:
+        self._fingerprints[seed] = fingerprint
+        self._fingerprints.move_to_end(seed)
+        while len(self._fingerprints) > self.memo_size:
+            self._fingerprints.popitem(last=False)
 
     # -- response memo -----------------------------------------------------------
 

@@ -9,17 +9,12 @@ like a standard inference server:
 * **pre-forked workers** — N child processes forked *after*
   :meth:`ServeApp.warm <repro.serve.app.ServeApp.warm>`, so each one
   starts with the parent's warm :class:`~repro.api.dispatch.QueryContext`
-  already in memory (copy-on-write pages; nothing is re-synthesized or
-  pickled);
-* **zero-copy warm state** — before forking, the parent spills the
-  corpus curve matrices through the PR 7
-  :class:`~repro.dataset.columns.ColumnSpillStore` and every worker
-  re-attaches them as read-only memmaps
-  (:meth:`~repro.dataset.columns.CorpusColumns.attach_spilled`), so all
-  workers and the parent share one set of physical pages.  Where the
-  spill root is unusable the matrices travel as
-  ``multiprocessing.shared_memory`` segments instead
-  (:func:`publish_shm_arrays` / :func:`attached_shm_arrays`);
+  already in memory: corpus, column store and the three fleet curve
+  matrices arrive as copy-on-write pages, and nothing is
+  re-synthesized, pickled or written to disk.  Fork inheritance is the
+  only transport; a spawned worker (spawn-only platforms, post-death
+  replacements) rebuilds its context from the seed and cache
+  directory;
 * **sticky routing** — requests are routed by spec key
   (``crc32(key) % N``), so identical specs always land on the same
   worker and its per-context memoized engines stay hot; batch groups
@@ -51,11 +46,7 @@ import os
 import threading
 import time
 import zlib
-from contextlib import contextmanager
-from multiprocessing import shared_memory
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.dispatch import QueryContext, execute
 from repro.api.requests import QueryRequest
@@ -63,7 +54,6 @@ from repro.api.result import QueryResult
 from repro.core import faults
 from repro.core.cache import ArtifactCache
 from repro.core.resilience import RetryPolicy, TransientError
-from repro.dataset.columns import ColumnSpillStore
 
 #: Exit code of an injected ``serve.worker`` mid-query death.
 _CRASH_EXIT = 70
@@ -74,85 +64,6 @@ _WAIT_TICK_S = 0.25
 
 #: Budget for a worker process to leave after a stop message.
 _STOP_JOIN_S = 5.0
-
-#: The corpus curve matrices the parent publishes and workers attach.
-_MATRIX_NAMES = ("load_grid", "power_matrix", "ops_matrix")
-
-
-def publish_shm_arrays(
-    named: Dict[str, np.ndarray],
-) -> Tuple[Dict[str, Tuple[str, Tuple[int, ...], str]],
-           List[shared_memory.SharedMemory]]:
-    """Copy named arrays into fresh shared-memory segments.
-
-    Returns ``(blocks, segments)``: ``blocks`` maps each name to the
-    ``(segment name, shape, dtype)`` triple that
-    :func:`attached_shm_arrays` re-opens zero-copy in another process,
-    and ``segments`` are the live handles the *caller* must close and
-    unlink when the audience is gone.  On a mid-publication failure
-    every already-created segment is reclaimed before the error
-    propagates, so a partial publish can never leak kernel objects.
-    """
-    blocks: Dict[str, Tuple[str, Tuple[int, ...], str]] = {}
-    segments: List[shared_memory.SharedMemory] = []
-    try:
-        for name, array in named.items():
-            array = np.ascontiguousarray(array)
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, array.nbytes)
-            )
-            segments.append(segment)
-            view = np.ndarray(
-                array.shape, dtype=array.dtype, buffer=segment.buf
-            )
-            view[...] = array
-            del view
-            blocks[name] = (segment.name, array.shape, array.dtype.str)
-    except BaseException:
-        for segment in segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        raise
-    return blocks, segments
-
-
-@contextmanager
-def attached_shm_arrays(
-    blocks: Dict[str, Tuple[str, Tuple[int, ...], str]],
-) -> Iterator[Dict[str, np.ndarray]]:
-    """Attach published segments as named array views, detach on exit.
-
-    The inverse of :func:`publish_shm_arrays`, runnable in any process
-    that can see the segment names: yields zero-copy views over the
-    parent's pages and closes every attached segment in the
-    ``finally``, so an attaching worker can never leak one whatever
-    its work does.
-    """
-    segments: List[shared_memory.SharedMemory] = []
-    arrays: Dict[str, np.ndarray] = {}
-    try:
-        for name, (segment_name, shape, dtype) in blocks.items():
-            # Attaching re-registers the name with the resource
-            # tracker (a set add, so a no-op: child processes share
-            # the parent's tracker and the parent registered the
-            # segment at creation); the parent's unlink unregisters
-            # it exactly once.
-            segment = shared_memory.SharedMemory(name=segment_name)
-            segments.append(segment)
-            arrays[name] = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=segment.buf
-            )
-        yield arrays
-    finally:
-        arrays.clear()
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # a view outlived the scope; leave it
-                pass
 
 
 class WorkerDied(Exception):
@@ -194,38 +105,25 @@ def _serve_requests(conn: Any, context: QueryContext) -> None:
 
 def _worker_main(
     conn: Any,
-    index: int,
     seed: int,
     warm_context: Optional[QueryContext],
-    transport: Tuple[str, Any],
     cache_dir: Optional[str],
 ) -> None:
     """Entry point of one worker process.
 
     Forked workers receive the parent's warm ``QueryContext`` directly
-    (copy-on-write memory, never pickled); spawned workers — spawn-only
-    platforms, and every post-death replacement (see
-    :meth:`EngineWorkerPool._respawn`) — rebuild one from the seed.
-    Either way the corpus curve matrices are then swapped for the
-    parent-published zero-copy representation before the first query
-    runs.
+    (copy-on-write memory, never pickled), curve matrices included;
+    spawned workers — spawn-only platforms, and every post-death
+    replacement (see :meth:`EngineWorkerPool._respawn`) — rebuild one
+    from the seed and the cache directory, and build the matrices on
+    their first fleet query.
     """
     if warm_context is not None:
         context = warm_context
     else:  # spawn platforms and respawned replacement workers
         cache = ArtifactCache(cache_dir) if cache_dir else None
         context = QueryContext(cache=cache, seed=seed)
-    columns = context.corpus(seed).columns()
-    mode, payload = transport
-    if mode == "spill":
-        columns.attach_spilled(ColumnSpillStore(payload))
-        _serve_requests(conn, context)
-    else:  # "shm": segments must stay attached for the loop's lifetime
-        with attached_shm_arrays(payload) as arrays:
-            columns.adopt_matrices(
-                {name: arrays[name] for name in _MATRIX_NAMES}
-            )
-            _serve_requests(conn, context)
+    _serve_requests(conn, context)
 
 
 class _Worker:
@@ -281,16 +179,13 @@ class EngineWorkerPool:
         context: QueryContext,
         seed: int = 2016,
         size: int = 2,
-        spill: Optional[ColumnSpillStore] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"worker pool size must be >= 1, got {size}")
         self.context = context
         self.seed = seed
         self.size = int(size)
-        self.spill = spill if spill is not None else ColumnSpillStore()
-        self.retry = retry if retry is not None else RetryPolicy(
+        self.retry = RetryPolicy(
             attempts=2, base_delay_s=0.01, max_delay_s=0.25, seed=seed
         )
         start_methods = multiprocessing.get_all_start_methods()
@@ -303,8 +198,6 @@ class EngineWorkerPool:
         # deadlock the child on locks other threads hold
         self._respawn_mp = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
-        self._segments: List[Any] = []
-        self._transport: Tuple[str, Any] = ("spill", str(self.spill.root))
         self._cache_dir: Optional[str] = None
         self._started = False
         #: Worker processes re-forked after a death, pool lifetime.
@@ -318,24 +211,9 @@ class EngineWorkerPool:
         return self._started
 
     def start(self) -> None:
-        """Publish the warm state and fork the workers (idempotent)."""
+        """Fork the workers off the warm parent context (idempotent)."""
         if self._started:
             return
-        corpus = self.context.corpus(self.seed)
-        columns = corpus.columns()
-        try:
-            columns.spill_matrices(self.spill)
-            self._transport = ("spill", str(self.spill.root))
-        except OSError:
-            # unusable spill root (read-only tmp): ship the matrices as
-            # shared-memory segments instead
-            named = {
-                "load_grid": columns.load_grid(),
-                "power_matrix": columns.power_matrix(),
-                "ops_matrix": columns.ops_matrix(),
-            }
-            blocks, self._segments = publish_shm_arrays(named)
-            self._transport = ("shm", blocks)
         cache = self.context.cache
         self._cache_dir = str(cache.root) if cache is not None else None
         self._workers = [self._spawn(index) for index in range(self.size)]
@@ -347,10 +225,7 @@ class EngineWorkerPool:
         warm = self.context if mp.get_start_method() == "fork" else None
         process = mp.Process(
             target=_worker_main,
-            args=(
-                child_conn, index, self.seed, warm,
-                self._transport, self._cache_dir,
-            ),
+            args=(child_conn, self.seed, warm, self._cache_dir),
             name=f"repro-serve-w{index}",
             daemon=True,
         )
@@ -361,7 +236,7 @@ class EngineWorkerPool:
         return _Worker(index, process, parent_conn)
 
     def stop(self, timeout_s: float = _STOP_JOIN_S) -> None:
-        """Stop every worker and reclaim segments (idempotent, bounded)."""
+        """Stop every worker (idempotent, bounded)."""
         if not self._started:
             return
         self._started = False
@@ -384,16 +259,6 @@ class EngineWorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
             worker.conn.close()
-        for segment in self._segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - views are local
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
 
     # -- routing -----------------------------------------------------------------
 
@@ -469,7 +334,7 @@ class EngineWorkerPool:
         """Send/recv with restart-once recovery (PR 4 taxonomy).
 
         A first worker death is masked: the worker is respawned from
-        the published warm state and the request retried after one
+        the seed and cache directory and the request retried after one
         seeded backoff delay.  A second death raises
         :class:`TransientError` — the app answers ``503`` and the
         breaker's transient bucket leaves the spec key closed.
@@ -531,8 +396,8 @@ class EngineWorkerPool:
         child on locks other threads hold (malloc arenas, logging,
         other workers' pipes).  Replacements come up through the
         *spawn* context instead: the child rebuilds its context from
-        seed + cache and re-attaches the published matrices, exactly
-        like the spawn-platform fallback in :func:`_worker_main`.
+        seed + cache, exactly like the spawn-platform fallback in
+        :func:`_worker_main`.
         """
         worker.conn.close()
         worker.process.join(timeout=1.0)

@@ -231,21 +231,6 @@ class TestSpill:
         np.testing.assert_array_equal(np.asarray(loaded), values)
         eager = store.load("k", "col", mmap=False)
         assert not isinstance(eager, np.memmap)
-        store.clear("k")
-        assert not store.has("k", "col")
-
-    def test_ensure_builds_once(self, tmp_path):
-        store = ColumnSpillStore(tmp_path)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return np.ones(5)
-
-        first = store.ensure("k", "ones", build)
-        second = store.ensure("k", "ones", build)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(np.asarray(first), np.asarray(second))
 
 
 class TestTiledFleetView:

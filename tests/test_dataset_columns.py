@@ -123,43 +123,6 @@ class TestCurveMatrices:
 
 
 class TestSpillTier:
-    def test_spill_matrices_round_trip(self, corpus, tmp_path):
-        columns = corpus.columns()
-        store = ColumnSpillStore(tmp_path)
-        grid, power, ops = columns.spill_matrices(store)
-        for mapped in (grid, power, ops):
-            assert isinstance(mapped, np.memmap)
-        np.testing.assert_array_equal(np.asarray(grid), columns.load_grid())
-        np.testing.assert_array_equal(
-            np.asarray(power), columns.power_matrix()
-        )
-        np.testing.assert_array_equal(np.asarray(ops), columns.ops_matrix())
-
-    def test_spill_is_keyed_by_fingerprint(self, corpus, tmp_path):
-        columns = corpus.columns()
-        store = ColumnSpillStore(tmp_path)
-        columns.spill_matrices(store)
-        assert store.has(corpus.fingerprint(), "ops_matrix")
-        assert (tmp_path / corpus.fingerprint() / "ops_matrix.npy").is_file()
-
-    def test_spilled_files_are_not_rewritten(self, corpus, tmp_path):
-        columns = corpus.columns()
-        store = ColumnSpillStore(tmp_path)
-        columns.spill_matrices(store)
-        stamps = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.npy")}
-        columns.spill_matrices(store)
-        assert {
-            p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.npy")
-        } == stamps
-
-    def test_clear_removes_spilled_columns(self, corpus, tmp_path):
-        columns = corpus.columns()
-        store = ColumnSpillStore(tmp_path)
-        columns.spill_matrices(store)
-        removed = store.clear()
-        assert removed == 3
-        assert not store.has(corpus.fingerprint(), "load_grid")
-
     def test_default_root_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "cols"))
         store = ColumnSpillStore()

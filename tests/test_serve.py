@@ -6,11 +6,12 @@ import threading
 
 import pytest
 
-from repro.api import QueryContext, execute
+from repro.api import QueryContext, execute, request_from_dict
 from repro.core.cache import ArtifactCache
 from repro.serve import ServeApp, ServeClient, start_daemon_thread
 
 REPLAY = {"family": "replay", "servers": 30, "steps": 8}
+STATS = {"family": "stats", "metric": "ep"}
 
 
 def run_async(coro):
@@ -66,6 +67,21 @@ class TestCoalescing:
         app._memo_put("c", b"3")
         assert app._memo_get("a") is None
         assert app._memo_get("c") == b"3"
+
+    def test_fingerprint_map_is_bounded_by_memo_size(self):
+        # the map is keyed by the client-controlled seed: a daemon
+        # that never evicted it would grow without limit
+        app = ServeApp(memo_size=2)
+
+        def key(seed):
+            request = request_from_dict({**STATS, "seed": seed})
+            return run_async(app._spec_key(request))
+
+        first = {seed: key(seed) for seed in (1, 2, 3)}
+        assert len(app._fingerprints) == 2
+        assert list(app._fingerprints) == [2, 3]
+        assert key(1) == first[1]  # dropped, so recomputed
+        assert list(app._fingerprints) == [3, 1]
 
     def test_memo_is_bounded_by_bytes(self):
         app = ServeApp(memo_size=100, memo_bytes=10)

@@ -91,6 +91,44 @@ class TestPoolExecution:
         assert document["stats"]["worker_restarts"] == 0
 
 
+def spill_files(root):
+    return [path for path in root.rglob("*") if path.is_file()]
+
+
+class TestForkInheritance:
+    def test_pool_writes_no_spill_files(self, tmp_path, monkeypatch):
+        # fork inheritance is the only way warm state reaches the
+        # workers: nothing is written under the spill root, forked
+        # workers start with the parent's curve matrices, and a
+        # spawned replacement rebuilds the same answers from the seed
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
+        app = pooled_app(workers=1)
+        plan = FaultPlan(
+            [FaultSpec(site="serve.worker", mode="fail-once")], seed=7
+        )
+        try:
+            assert spill_files(spill) == []
+            built = app.context.corpus(app.seed).columns()._arrays
+            assert {"load_grid", "power_matrix", "ops_matrix"} <= set(built)
+            forked = drive(app, [REPLAY, STATS])
+            with faults.install(plan):
+                respawned = drive(app, [PLACEMENT])
+            assert app._pool.restarts == 1
+        finally:
+            app.stop_workers()
+        assert spill_files(spill) == []
+        baseline = drive(pooled_app(workers=0), [REPLAY, STATS, PLACEMENT])
+        for (status, body), (_status, expected) in zip(
+            forked + respawned, baseline
+        ):
+            assert status == 200
+            assert json.dumps(normalized(body)) == json.dumps(
+                normalized(expected)
+            )
+
+
 class TestWorkerDeath:
     def test_single_death_is_masked_bit_identically(self):
         app = pooled_app(workers=2)
