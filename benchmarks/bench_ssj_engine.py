@@ -1,7 +1,8 @@
 """Harness fidelity: the discrete-event benchmark vs. the analytic path.
 
-Not a paper artifact: validates that the two evaluation methods of the
-sweep harness agree, and times a full simulated benchmark run.
+Not a paper artifact: validates that the discrete-event benchmark, the
+oracle of :mod:`repro.hwexp.reference`, agrees with the analytic sweep
+cell, and times a full simulated benchmark run.
 """
 
 import pytest

@@ -6,19 +6,16 @@ Run with::
     python examples/datacenter_placement.py
 
 Implements Section V.C on a heterogeneous fleet drawn from the corpus:
-build logical clusters by proportionality and working region, then
 compare pack-to-full consolidation against EP-aware placement at a
 range of demand levels and under a fixed power cap.
 """
 
 from repro import Study
 from repro.cluster import (
-    build_logical_clusters,
     ep_aware_placement,
     max_throughput_under_cap,
     pack_to_full_placement,
 )
-from repro.cluster.regions import optimal_working_region
 from repro.viz.tables import format_table
 
 
@@ -27,22 +24,7 @@ def main() -> None:
     fleet = list(study.corpus.by_hw_year_range(2013, 2016))
     print(f"fleet: {len(fleet)} servers (hardware years 2013-2016)")
 
-    # 1. Working regions: where should each server run?
-    print("\nsample optimal working regions (EE within 5% of peak):")
-    for server in sorted(fleet, key=lambda r: -r.ep)[:5]:
-        region = optimal_working_region(server)
-        print(f"  {server.model} (EP {server.ep:.2f}, peak at "
-              f"{server.primary_peak_spot:.0%}): run in "
-              f"[{region.low:.0%}, {region.high:.0%}]")
-
-    # 2. Logical clusters per the Section V.C recipe.
-    clusters = build_logical_clusters(fleet, min_size=3)
-    print(f"\n{len(clusters)} logical clusters of 3+ servers:")
-    for cluster in clusters:
-        print(f"  EP band {cluster.ep_band}: {cluster.size} servers, "
-              f"operate in [{cluster.region.low:.0%}, {cluster.region.high:.0%}]")
-
-    # 3. Placement policies across demand levels.
+    # 1. Placement policies across demand levels.
     capacity = sum(
         level.ssj_ops
         for server in fleet
@@ -69,7 +51,7 @@ def main() -> None:
         title="pack-to-full vs. EP-aware placement",
     ))
 
-    # 4. Throughput under a power cap.
+    # 2. Throughput under a power cap.
     cap = 0.5 * pack_to_full_placement(fleet, capacity).total_power_w
     packed_cap = max_throughput_under_cap(fleet, cap, policy="pack-to-full")
     aware_cap = max_throughput_under_cap(fleet, cap, policy="ep-aware")

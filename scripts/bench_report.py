@@ -168,18 +168,17 @@ def bench_generate_corpus(repeats: int) -> float:
 
 
 def bench_simulate_sweep(repeats: int) -> float:
-    from repro.hwexp.sweeps import run_sweep
+    from repro.hwexp.reference import simulate_sweep
     from repro.hwexp.testbed import TESTBED
     from repro.ssj.load_levels import MeasurementPlan
 
     plan = MeasurementPlan(interval_s=1.0, ramp_s=0.25)
     return _best_of(
         repeats,
-        lambda: run_sweep(
+        lambda: simulate_sweep(
             TESTBED[2],
             frequencies=(1.2, 1.5, 1.8),
             memory_per_core=(2.0, 4.0),
-            method="simulate",
             plan=plan,
         ),
     )

@@ -8,7 +8,8 @@ It contains:
 * :mod:`repro.power` -- component-level server power models (CPU with DVFS,
   DRAM, disks, fans, PSU) and frequency governors.
 * :mod:`repro.ssj` -- a discrete-event SPECpower_ssj2008-style benchmark
-  simulator (calibration, graduated load levels, power metering, reports).
+  simulator (calibration, graduated load levels, power metering, reports),
+  the oracle the tests hold the analytic Table II sweeps to.
 * :mod:`repro.dataset` -- a calibrated synthetic corpus of 477 SPECpower
   results matching the statistical shape of the published results the
   paper analyses.
@@ -17,8 +18,8 @@ It contains:
   asynchrony, and the idle-power regression (Eq. 2).
 * :mod:`repro.hwexp` -- models of the paper's 4-server testbed (Table II)
   and the memory-per-core / DVFS sweep experiments (Figs. 18-21).
-* :mod:`repro.cluster` -- Section V operational guidance: optimal working
-  regions, logical clusters, and EP-aware workload placement.
+* :mod:`repro.cluster` -- Section V operational guidance: EP-aware
+  workload placement, power capping, scheduling and trace replay.
 * :mod:`repro.core` -- the one-call study pipeline: a declarative
   artifact registry, a parallel execution engine with a
   content-addressed artifact cache, and the Study facade regenerating

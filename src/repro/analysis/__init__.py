@@ -30,10 +30,7 @@ from repro.analysis.prior_subsets import (
     wong_2011_subset,
     wong_2015_subset,
 )
-from repro.analysis.process_node import ep_by_process_node, shrink_regressions
-from repro.analysis.ticktock import lineage_transitions, tick_tock_summary
 from repro.analysis.cdf import ep_cdf
-from repro.analysis.decomposition import decompose_ep_change, stagnation_decomposition
 from repro.analysis.envelopes import curve_envelope, selected_curves
 from repro.analysis.grouping import (
     codename_ep_table,
@@ -51,7 +48,6 @@ __all__ = [
     "Summary",
     "asynchrony_report",
     "chip_scaling",
-    "decompose_ep_change",
     "codename_ep_table",
     "curve_envelope",
     "ep_cdf",
@@ -59,7 +55,6 @@ __all__ = [
     "ep_score_correlation_drift",
     "hsu_poole_subset",
     "spot_drift_forecast",
-    "ep_by_process_node",
     "gap_trend",
     "family_counts",
     "idle_regression",
@@ -73,12 +68,8 @@ __all__ = [
     "peak_spot_trend",
     "reorganization_deltas",
     "rank_correlation_matrix",
-    "shrink_regressions",
     "selected_curves",
-    "stagnation_decomposition",
     "summarize",
-    "tick_tock_summary",
-    "lineage_transitions",
     "two_chip_comparison",
     "wong_2011_subset",
     "wong_2015_subset",

@@ -1,20 +1,14 @@
-"""Section V.C operationalized: regions, logical clusters, placement.
+"""Section V.C operationalized: EP-aware placement.
 
 The paper's operational guidance: characterize each server's
-efficiency curve, group heterogeneous servers into *logical clusters*
-by proportionality and by their high-efficiency working regions, and
-place load so every active server sits inside its optimal region
-(~70-100% utilization for modern machines) instead of packing servers
-to 100%.
+efficiency curve and place load so every active server sits in its
+high-efficiency working region (~70-100% utilization for modern
+machines) instead of packing servers to 100%.
 
-* :mod:`repro.cluster.regions` -- optimal working regions from
-  efficiency curves;
-* :mod:`repro.cluster.logical_cluster` -- EP-based grouping with
-  overlapping-region computation;
+* :mod:`repro.cluster.regions` -- interpolated power, throughput and
+  efficiency at any utilization of a measured curve;
 * :mod:`repro.cluster.placement` -- EP-aware placement vs. the
   pack-to-full baseline, under throughput demand or a power cap;
-* :mod:`repro.cluster.multinode` -- cluster-wide proportionality of
-  node groups (the Fig. 13 economies-of-scale mechanism);
 * :mod:`repro.cluster.fleet_arrays` -- the columnar struct-of-arrays
   fleet view behind the vectorized fast paths;
 * :mod:`repro.cluster.batch_placement` /
@@ -41,15 +35,12 @@ from repro.cluster.sharded import (
     ShardedTraceReplay,
     SummaryOutcome,
 )
-from repro.cluster.logical_cluster import LogicalCluster, build_logical_clusters
-from repro.cluster.multinode import cluster_power_curve, cluster_proportionality
 from repro.cluster.placement import (
     PlacementOutcome,
     ep_aware_placement,
     pack_to_full_placement,
     max_throughput_under_cap,
 )
-from repro.cluster.regions import WorkingRegion, optimal_working_region
 from repro.cluster.trace import (
     DemandTrace,
     compare_policies,
@@ -66,21 +57,15 @@ __all__ = [
     "ShardedTraceReplay",
     "SummaryOutcome",
     "TiledFleetView",
-    "LogicalCluster",
     "PlacementOutcome",
-    "WorkingRegion",
     "DemandTrace",
     "compare_policies",
     "daily_saving",
     "diurnal_trace",
     "fleet_engine",
     "replay_trace",
-    "build_logical_clusters",
-    "cluster_power_curve",
-    "cluster_proportionality",
     "ep_aware_placement",
     "max_throughput_under_cap",
-    "optimal_working_region",
     "pack_to_full_placement",
     "tile_fleet",
 ]

@@ -1,15 +1,14 @@
-"""Optimal working regions from efficiency curves.
+"""A measured curve read at any utilization.
 
 Section V.C: "if a server has peak energy efficiency at 70% utilization
-... the 70% to 100% utilization region is better working region", and
-more generally the band where a server's efficiency stays within a
-threshold of its peak -- or above its 100%-utilization efficiency --
-is where workload placement should keep it.
+... the 70% to 100% utilization region is better working region".
+Job scheduling, procurement and the placement oracle read a server's
+power, throughput and efficiency between the eleven measured levels;
+these interpolators supply them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -17,83 +16,11 @@ import numpy as np
 from repro.dataset.schema import SpecPowerResult
 
 
-@dataclass(frozen=True)
-class WorkingRegion:
-    """A closed utilization band [low, high]."""
-
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.low <= self.high <= 1.0:
-            raise ValueError("region bounds must satisfy 0 <= low <= high <= 1")
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
-    def contains(self, utilization: float) -> bool:
-        """True when the utilization lies inside the band."""
-        return self.low - 1e-12 <= utilization <= self.high + 1e-12
-
-    def intersect(self, other: "WorkingRegion") -> "WorkingRegion":
-        """The overlap of two bands; raises when they are disjoint."""
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        if low > high:
-            raise ValueError("regions do not overlap")
-        return WorkingRegion(low=low, high=high)
-
-    def midpoint(self) -> float:
-        """Center of the band."""
-        return 0.5 * (self.low + self.high)
-
-
 def efficiency_levels(result: SpecPowerResult) -> List[Tuple[float, float]]:
     """(utilization, ops/W) per measured level, ascending utilization."""
     return [
         (level.target_load, level.efficiency) for level in result.sorted_levels()
     ]
-
-
-def optimal_working_region(
-    result: SpecPowerResult, threshold: float = 0.95
-) -> WorkingRegion:
-    """The contiguous band around the peak with EE >= threshold * peak.
-
-    The region is the maximal run of measured levels, containing the
-    peak level, whose efficiency stays within ``threshold`` of the
-    peak; for a modern server peaking at 70% this typically comes out
-    as [0.6-0.7, 1.0], the paper's recommended operating band.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
-    levels = efficiency_levels(result)
-    efficiencies = np.array([ee for _, ee in levels])
-    peak_index = int(np.argmax(efficiencies))
-    floor = efficiencies[peak_index] * threshold
-    low_index = peak_index
-    while low_index > 0 and efficiencies[low_index - 1] >= floor:
-        low_index -= 1
-    high_index = peak_index
-    while high_index < len(levels) - 1 and efficiencies[high_index + 1] >= floor:
-        high_index += 1
-    return WorkingRegion(low=levels[low_index][0], high=levels[high_index][0])
-
-
-def above_full_load_region(result: SpecPowerResult) -> WorkingRegion:
-    """The band whose efficiency meets or beats the 100% level.
-
-    Section V.C groups servers by "the widest working region beyond the
-    ideal energy efficiency curve"; on the measured grid that is the
-    run of levels, ending at 100%, whose efficiency is >= EE(100%).
-    """
-    levels = efficiency_levels(result)
-    full_ee = levels[-1][1]
-    low_index = len(levels) - 1
-    while low_index > 0 and levels[low_index - 1][1] >= full_ee:
-        low_index -= 1
-    return WorkingRegion(low=levels[low_index][0], high=1.0)
 
 
 def efficiency_at(result: SpecPowerResult, utilization: float) -> float:

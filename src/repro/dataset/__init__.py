@@ -22,7 +22,6 @@ same statistical shape (see DESIGN.md for the substitution argument):
 from repro.dataset.corpus import Corpus
 from repro.dataset.curve_family import GridCurve, PowerCurve, solve_curve
 from repro.dataset.fingerprint import corpus_fingerprint, result_fingerprint
-from repro.dataset.from_report import result_from_report, result_from_testbed_run
 from repro.dataset.schema import LoadLevel, SpecPowerResult
 from repro.dataset.synthesis import generate_corpus
 from repro.dataset.validation import validate_corpus, validate_result
@@ -36,8 +35,6 @@ __all__ = [
     "PowerCurve",
     "SpecPowerResult",
     "generate_corpus",
-    "result_from_report",
-    "result_from_testbed_run",
     "solve_curve",
     "validate_corpus",
     "validate_result",

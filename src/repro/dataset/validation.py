@@ -1,8 +1,7 @@
 """Corpus linting: integrity checks for externally supplied data.
 
-Users can load their own result sets (CSV via :mod:`repro.dataset.io`,
-bridged simulator runs via :mod:`repro.dataset.from_report`) and push
-them through the analyses.  The analyses assume FDR-shaped data;
+Users can load their own result sets (CSV via :mod:`repro.dataset.io`)
+and push them through the analyses.  The analyses assume FDR-shaped data;
 :func:`validate_corpus` checks those assumptions explicitly and returns
 human-readable findings instead of letting a malformed record surface
 as a cryptic numerical artifact three layers deeper.

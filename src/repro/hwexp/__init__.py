@@ -10,8 +10,10 @@ effects, then replays the same sweeps:
 * :mod:`repro.hwexp.perf_model` -- the throughput model;
 * :mod:`repro.hwexp.testbed` -- the four Table II configurations;
 * :mod:`repro.hwexp.sweeps` -- the memory-per-core x frequency grid,
-  evaluated either analytically (deterministic, fast) or through the
-  full discrete-event benchmark.
+  evaluated analytically (deterministic, fast);
+* :mod:`repro.hwexp.workloads` -- per-workload EP/EE characterization;
+* :mod:`repro.hwexp.reference` -- the same cells through the full
+  discrete-event benchmark, kept as the tests' oracle.
 """
 
 from repro.hwexp.perf_model import ServerThroughputProfile

@@ -2,25 +2,24 @@
 
 Every cell of the grid configures the server (installed memory, pinned
 frequency or the ondemand governor) and measures its energy efficiency
-and peak power, either *analytically* -- evaluating the power and
-throughput models at each target load directly, deterministic and fast
--- or through the full discrete-event benchmark of :mod:`repro.ssj`
-(``method="simulate"``), which adds queueing and measurement noise.
-Both paths execute the same measurement protocol: ten target loads
-plus active idle, overall efficiency as the ratio of sums.
+and peak power *analytically*: the power and throughput models are
+evaluated at each target load directly, deterministic and fast.  The
+cell follows the SPECpower measurement protocol: ten target loads plus
+active idle, overall efficiency as the ratio of sums.  The full
+discrete-event benchmark of :mod:`repro.ssj` runs the same protocol
+with queueing and measurement noise; it lives on as the oracle the
+tests hold these cells to (:mod:`repro.hwexp.reference`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.hwexp.testbed import TestbedServer
 from repro.metrics.ep import TARGET_LOADS_DESCENDING
 from repro.power.governors import FixedFrequencyGovernor, Governor, OndemandGovernor
 from repro.power.server import ServerPowerModel
-from repro.ssj.load_levels import MeasurementPlan
-from repro.ssj.runner import SsjRunner
 
 #: Sentinel frequency key for the ondemand governor column.
 ONDEMAND = "ondemand"
@@ -160,60 +159,19 @@ def _analytic_cell(
     )
 
 
-def _simulated_cell(
+def _grid(
     server: TestbedServer,
-    power_model: ServerPowerModel,
-    memory_per_core_gb: float,
-    governor: Governor,
-    frequency_label: Union[float, str],
-    plan: MeasurementPlan,
-    seed: int,
-) -> SweepCell:
-    """Evaluate one cell through the discrete-event benchmark."""
-    runner = SsjRunner(
-        server=power_model,
-        profile=server.profile_for(memory_per_core_gb),
-        governor=governor,
-        plan=plan,
-        seed=seed,
-    )
-    report = runner.run()
-    return SweepCell(
-        memory_per_core_gb=memory_per_core_gb,
-        frequency=frequency_label,
-        overall_efficiency=report.overall_score(),
-        peak_power_w=max(level.average_power_w for level in report.levels),
-        idle_power_w=report.active_idle_power_w,
-        max_throughput_ops=report.calibrated_max_ops_per_s,
-    )
-
-
-def run_sweep(
-    server: TestbedServer,
-    memory_per_core: Optional[Sequence[float]] = None,
-    frequencies: Optional[Sequence[float]] = None,
-    include_ondemand: bool = True,
-    method: str = "analytic",
-    plan: Optional[MeasurementPlan] = None,
-    seed: int = 2016,
-) -> SweepResult:
-    """Run the full grid for one testbed server.
-
-    ``method`` is ``"analytic"`` (deterministic model evaluation) or
-    ``"simulate"`` (full discrete-event benchmark per cell).
-    """
-    if method not in ("analytic", "simulate"):
-        raise ValueError("method must be 'analytic' or 'simulate'")
+    memory_per_core: Optional[Sequence[float]],
+    frequencies: Optional[Sequence[float]],
+    include_ondemand: bool,
+) -> Iterator[Tuple[ServerPowerModel, float, Governor, Union[float, str]]]:
+    """Every cell's configuration, in sweep order."""
     memory_list = list(
         server.tested_memory_per_core if memory_per_core is None else memory_per_core
     )
     frequency_list = list(
         server.frequencies_ghz if frequencies is None else frequencies
     )
-    if plan is None:
-        plan = MeasurementPlan(interval_s=3.0, ramp_s=0.5)
-
-    cells: List[SweepCell] = []
     for mpc in memory_list:
         capacity = server.memory_gb_for(mpc)
         power_model = server.power_model(memory_gb=capacity)
@@ -223,14 +181,20 @@ def run_sweep(
         if include_ondemand:
             columns.append((OndemandGovernor(), ONDEMAND))
         for governor, label in columns:
-            if method == "analytic":
-                cells.append(
-                    _analytic_cell(server, power_model, mpc, governor, label)
-                )
-            else:
-                cells.append(
-                    _simulated_cell(
-                        server, power_model, mpc, governor, label, plan, seed
-                    )
-                )
+            yield power_model, mpc, governor, label
+
+
+def run_sweep(
+    server: TestbedServer,
+    memory_per_core: Optional[Sequence[float]] = None,
+    frequencies: Optional[Sequence[float]] = None,
+    include_ondemand: bool = True,
+) -> SweepResult:
+    """Run the full grid for one testbed server."""
+    cells = [
+        _analytic_cell(server, power_model, mpc, governor, label)
+        for power_model, mpc, governor, label in _grid(
+            server, memory_per_core, frequencies, include_ondemand
+        )
+    ]
     return SweepResult(server=server, cells=cells)

@@ -7,21 +7,20 @@ SPECpower workload"): the same physical server, driven by different
 workload variants (:mod:`repro.ssj.variants`), yields different
 power--utilization and efficiency curves and therefore different EP.
 
-The characterization can run analytically (deterministic model
-evaluation, the default) or through the full discrete-event benchmark.
+The characterization evaluates the models analytically, as the
+Table II sweeps do; :mod:`repro.hwexp.reference` keeps the
+discrete-event route as the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.hwexp.testbed import TestbedServer
 from repro.metrics.ee import peak_efficiency_spots
 from repro.metrics.ep import TARGET_LOADS_DESCENDING, energy_proportionality
 from repro.power.governors import OndemandGovernor
-from repro.ssj.load_levels import MeasurementPlan
-from repro.ssj.runner import SsjRunner
 from repro.ssj.variants import WorkloadVariant
 
 
@@ -49,79 +48,46 @@ def _configured(server: TestbedServer, variant: WorkloadVariant):
 
 
 def characterize(
-    server: TestbedServer,
-    variant: WorkloadVariant,
-    method: str = "analytic",
-    plan: Optional[MeasurementPlan] = None,
-    seed: int = 2016,
+    server: TestbedServer, variant: WorkloadVariant
 ) -> WorkloadCharacterization:
     """Measure one server's EP/EE curves under one workload."""
-    if method not in ("analytic", "simulate"):
-        raise ValueError("method must be 'analytic' or 'simulate'")
     power_model, profile = _configured(server, variant)
     governor = OndemandGovernor()
     cpu = power_model.cpus[0]
-
-    if method == "simulate":
-        runner = SsjRunner(
-            server=power_model,
-            profile=profile,
-            governor=governor,
-            plan=plan or MeasurementPlan(interval_s=3.0, ramp_s=0.5),
-            seed=seed,
-            mix=variant.mix,
-        )
-        report = runner.run()
-        loads = [0.0] + sorted(level.target_load for level in report.levels)
-        by_load = {level.target_load: level for level in report.levels}
-        powers = [report.active_idle_power_w] + [
-            by_load[load].average_power_w for load in loads[1:]
-        ]
-        ops = [by_load[load].throughput_ops_per_s for load in loads[1:]]
-        idle = report.active_idle_power_w
-        score = report.overall_score()
-        spots = report.peak_efficiency_spots(rtol=5e-3)
-    else:
-        cores = server.total_cores
-        top = governor.select_frequency(cpu, 1.0)
-        max_ops = cores * profile.ops_per_second_per_core(top)
-        loads = [0.0] + sorted(TARGET_LOADS_DESCENDING)
-        powers = []
-        ops = []
-        for load in loads:
-            frequency = governor.select_frequency(cpu, load)
-            capacity = cores * profile.ops_per_second_per_core(frequency)
-            achieved = min(load * max_ops, capacity)
-            utilization = min(1.0, (load * max_ops) / capacity)
-            powers.append(power_model.wall_power_w(utilization, frequency))
-            if load > 0.0:
-                ops.append(achieved)
-        idle = powers[0]
-        score = sum(ops) / sum(powers)
-        spots = peak_efficiency_spots(loads[1:], ops, powers[1:])
-
+    cores = server.total_cores
+    top = governor.select_frequency(cpu, 1.0)
+    max_ops = cores * profile.ops_per_second_per_core(top)
+    loads = [0.0] + sorted(TARGET_LOADS_DESCENDING)
+    powers = []
+    ops = []
+    for load in loads:
+        frequency = governor.select_frequency(cpu, load)
+        capacity = cores * profile.ops_per_second_per_core(frequency)
+        achieved = min(load * max_ops, capacity)
+        utilization = min(1.0, (load * max_ops) / capacity)
+        powers.append(power_model.wall_power_w(utilization, frequency))
+        if load > 0.0:
+            ops.append(achieved)
     return WorkloadCharacterization(
         server_name=server.name,
         workload=variant.name,
         utilization=tuple(loads),
         power_w=tuple(powers),
         throughput_ops=tuple(ops),
-        active_idle_w=idle,
+        active_idle_w=powers[0],
         ep=energy_proportionality(loads, powers),
-        overall_ee=score,
-        peak_spots=tuple(spots),
+        overall_ee=sum(ops) / sum(powers),
+        peak_spots=tuple(peak_efficiency_spots(loads[1:], ops, powers[1:])),
     )
 
 
 def compare_workloads(
-    server: TestbedServer,
-    variants: Sequence[WorkloadVariant],
-    method: str = "analytic",
+    server: TestbedServer, variants: Sequence[WorkloadVariant]
 ) -> Dict[str, WorkloadCharacterization]:
     """Characterize one server under several workloads."""
     results: Dict[str, WorkloadCharacterization] = {}
     for variant in variants:
-        results[variant.name] = characterize(server, variant, method=method)
+        results[variant.name] = characterize(server, variant)
     return results
 
 

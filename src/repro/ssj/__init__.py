@@ -30,7 +30,6 @@ from repro.ssj.engine import EngineResult, ServiceEngine
 from repro.ssj.load_levels import MeasurementPlan
 from repro.ssj.power_meter import PowerMeter
 from repro.ssj.report import BenchmarkReport, LevelMeasurement
-from repro.ssj.multinode import MultiNodeRunner, aggregate_reports
 from repro.ssj.runner import SsjRunner
 from repro.ssj.transactions import SSJ_MIX, TransactionType
 from repro.ssj.variants import VARIANTS, WorkloadVariant, get_variant
@@ -41,7 +40,6 @@ __all__ = [
     "EngineResult",
     "LevelMeasurement",
     "MeasurementPlan",
-    "MultiNodeRunner",
     "PowerMeter",
     "SSJ_MIX",
     "VARIANTS",
@@ -50,7 +48,6 @@ __all__ = [
     "TransactionSource",
     "TransactionType",
     "WorkloadVariant",
-    "aggregate_reports",
     "calibrate",
     "get_variant",
 ]

@@ -1,4 +1,4 @@
-"""Tests for job-granular scheduling and the FDR text parser."""
+"""Tests for job-granular scheduling."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.cluster.jobs import (
     compare_schedulers,
     synthesize_jobs,
 )
-from repro.ssj.fdr import FdrParseError, parse_fdr_text
-from repro.ssj.report import BenchmarkReport, LevelMeasurement
 
 
 @pytest.fixture(scope="module")
@@ -98,54 +96,3 @@ class TestSchedulers:
         schedule = PeakSpotAware().schedule(fleet, jobs)
         ids = {server.result_id for server in fleet}
         assert set(schedule.assignments.values()) <= ids
-
-
-class TestFdrParser:
-    def _report(self):
-        levels = [
-            LevelMeasurement(
-                target_load=round(0.1 * i, 1),
-                throughput_ops_per_s=1000.0 * 0.1 * i,
-                average_power_w=100.0 * (0.3 + 0.07 * i),
-                utilization=round(0.1 * i, 1),
-            )
-            for i in range(1, 11)
-        ]
-        return BenchmarkReport(
-            calibrated_max_ops_per_s=1000.0,
-            levels=levels,
-            active_idle_power_w=30.0,
-        )
-
-    def test_roundtrip_scores_match(self):
-        original = self._report()
-        parsed = parse_fdr_text(original.to_text())
-        assert parsed.overall_score() == pytest.approx(
-            original.overall_score(), rel=0.01
-        )
-        assert parsed.energy_proportionality() == pytest.approx(
-            original.energy_proportionality(), abs=0.01
-        )
-
-    def test_roundtrip_level_count(self):
-        parsed = parse_fdr_text(self._report().to_text())
-        assert len(parsed.levels) == 10
-        assert parsed.active_idle_power_w == pytest.approx(30.0, rel=0.01)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(FdrParseError, match="no measured"):
-            parse_fdr_text("hello world")
-
-    def test_missing_idle_rejected(self):
-        text = "\n".join(
-            line
-            for line in self._report().to_text().splitlines()
-            if "idle" not in line
-        )
-        with pytest.raises(FdrParseError, match="idle"):
-            parse_fdr_text(text)
-
-    def test_parser_tolerates_extra_noise(self):
-        text = "PREAMBLE\n" + self._report().to_text() + "\nfooter: ok\n"
-        parsed = parse_fdr_text(text)
-        assert len(parsed.levels) == 10

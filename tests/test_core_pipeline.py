@@ -1,6 +1,8 @@
 """Tests for the EXPERIMENTS.md report generator and the targets
 validator's failure paths."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.pipeline import build_experiments_report, main
@@ -32,6 +34,11 @@ class TestExperimentsReport:
             cells = [cell.strip() for cell in row.strip("|").split("|")]
             assert len(cells) >= 3
             assert cells[-1] != ""
+
+    def test_committed_report_is_current(self):
+        """EXPERIMENTS.md is exactly what the default-seed study renders."""
+        committed = Path(__file__).parent.parent / "EXPERIMENTS.md"
+        assert build_experiments_report() == committed.read_text()
 
     def test_main_writes_the_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"

@@ -20,7 +20,7 @@ CASES = [
     ("quickstart.py", ["corpus: 477 published SPECpower results", "eq2"]),
     ("fleet_analysis.py", ["Top codenames by average EP", "CSV export"]),
     ("hardware_tuning.py", ["best memory per core", "ThinkServer RD450"]),
-    ("datacenter_placement.py", ["logical clusters", "EP-aware"]),
+    ("datacenter_placement.py", ["pack-to-full vs. EP-aware", "EP-aware places"]),
     ("ssj_run.py", ["governor: ondemand", "overall score"]),
     ("workload_sensitivity.py", ["EP spread across workloads"]),
     ("capacity_planning.py", ["the peak-EE pick costs"]),

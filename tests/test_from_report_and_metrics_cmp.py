@@ -1,4 +1,4 @@
-"""Tests for the report->result bridge and the metric-family comparison."""
+"""Tests for the metric-family comparison."""
 
 import pytest
 
@@ -8,64 +8,6 @@ from repro.analysis.metric_comparison import (
     metric_table,
     rank_correlation_matrix,
 )
-from repro.dataset.corpus import Corpus
-from repro.dataset.from_report import result_from_report, result_from_testbed_run
-from repro.hwexp.testbed import TESTBED
-from repro.power.governors import OndemandGovernor
-from repro.power.microarch import Codename
-from repro.ssj.load_levels import MeasurementPlan
-from repro.ssj.runner import SsjRunner
-
-
-@pytest.fixture(scope="module")
-def testbed_report():
-    server = TESTBED[2]
-    runner = SsjRunner(
-        server=server.power_model(),
-        profile=server.profile,
-        governor=OndemandGovernor(),
-        plan=MeasurementPlan(interval_s=3.0, ramp_s=0.5),
-    )
-    return server, runner.run()
-
-
-class TestReportBridge:
-    def test_testbed_run_becomes_a_result(self, testbed_report):
-        server, report = testbed_report
-        result = result_from_testbed_run(server, report)
-        assert result.hw_year == server.hw_year
-        assert result.total_cores == server.total_cores
-        assert result.overall_score == pytest.approx(report.overall_score())
-        assert result.ep == pytest.approx(report.energy_proportionality())
-
-    def test_bridged_result_joins_the_corpus(self, corpus, testbed_report):
-        server, report = testbed_report
-        result = result_from_testbed_run(server, report)
-        merged = Corpus(list(corpus) + [result])
-        assert len(merged) == 478
-        assert merged.get("testbed-2") is result
-        # The analyses run over the merged population unchanged.
-        from repro.analysis.temporal import yearly_trend
-
-        trend = yearly_trend(merged, "ep", "hw")
-        assert trend.by_year[server.hw_year].count == len(
-            corpus.by_hw_year(server.hw_year)
-        ) + 1
-
-    def test_custom_identity(self, testbed_report):
-        _server, report = testbed_report
-        result = result_from_report(
-            report,
-            result_id="lab-1",
-            vendor="Lab",
-            model="Proto",
-            hw_year=2016,
-            codename=Codename.SKYLAKE,
-            memory_gb=128.0,
-            cores_per_chip=14,
-        )
-        assert result.result_id == "lab-1"
-        assert result.memory_per_core_gb == pytest.approx(128.0 / 28.0)
 
 
 class TestMetricComparison:

@@ -10,6 +10,7 @@ identity with the event engine.
 import numpy as np
 import pytest
 
+from repro.hwexp.reference import simulate_sweep
 from repro.hwexp.sweeps import run_sweep
 from repro.hwexp.testbed import TESTBED
 from repro.ssj.engine import (
@@ -204,7 +205,7 @@ class TestSimulatedSweepAgreement:
             include_ondemand=False,
         )
         analytic = run_sweep(server, **kwargs)
-        simulated = run_sweep(server, method="simulate", plan=plan, **kwargs)
+        simulated = simulate_sweep(server, plan=plan, **kwargs)
         for mpc in (2.0, 4.0):
             for frequency in (1.2, 1.8):
                 a = analytic.cell(mpc, frequency)
@@ -222,15 +223,14 @@ class TestSimulatedSweepAgreement:
             memory_per_core=[4.0],
             frequencies=[1.8],
             include_ondemand=False,
-            method="simulate",
             plan=plan,
         )
-        first = run_sweep(TESTBED[2], seed=123, **kwargs)
-        second = run_sweep(TESTBED[2], seed=123, **kwargs)
+        first = simulate_sweep(TESTBED[2], seed=123, **kwargs)
+        second = simulate_sweep(TESTBED[2], seed=123, **kwargs)
         assert [
             (c.overall_efficiency, c.peak_power_w) for c in first.cells
         ] == [(c.overall_efficiency, c.peak_power_w) for c in second.cells]
-        other = run_sweep(TESTBED[2], seed=124, **kwargs)
+        other = simulate_sweep(TESTBED[2], seed=124, **kwargs)
         assert [
             (c.overall_efficiency, c.peak_power_w) for c in first.cells
         ] != [(c.overall_efficiency, c.peak_power_w) for c in other.cells]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hwexp.reference import simulate_characterization
 from repro.hwexp.testbed import TESTBED
 from repro.hwexp.workloads import characterize, compare_workloads, ep_spread
 from repro.ssj.transactions import validate_mix
@@ -64,16 +65,12 @@ class TestCharacterization:
             assert len(outcome.throughput_ops) == 10
 
     def test_simulated_matches_analytic(self):
-        analytic = characterize(TESTBED[2], CACHE, method="analytic")
-        simulated = characterize(TESTBED[2], CACHE, method="simulate")
+        analytic = characterize(TESTBED[2], CACHE)
+        simulated = simulate_characterization(TESTBED[2], CACHE)
         assert simulated.overall_ee == pytest.approx(
             analytic.overall_ee, rel=0.12
         )
         assert simulated.ep == pytest.approx(analytic.ep, abs=0.08)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            characterize(TESTBED[2], SSJ, method="magic")
 
     def test_empty_comparison_rejected(self):
         with pytest.raises(ValueError):
