@@ -2,16 +2,11 @@
 
 Paper: EP = 1.2969 * exp(k * idle) with R^2 = 0.892 (k ~= -2.06 from
 the paper's own idle=5% => EP=1.17 example); corr(EP, idle%) = -0.92.
-"""
 
-import pytest
+The paper's numbers are rows of ``repro.core.pipeline.CLAIMS``, gated
+in the tier-1 suite; this bench times the build.
+"""
 
 
 def test_eq2_idle_regression(record):
-    result = record("eq2")
-    series = result.series
-    assert series["amplitude"] == pytest.approx(1.2969, abs=0.12)
-    assert series["rate"] == pytest.approx(-2.06, abs=0.35)
-    assert series["r_squared"] == pytest.approx(0.892, abs=0.06)
-    assert series["corr_ep_idle"] == pytest.approx(-0.92, abs=0.04)
-    assert series["corr_ep_score"] == pytest.approx(0.741, abs=0.08)
+    record("eq2")

@@ -5,14 +5,9 @@ Section IV.A's drift prediction (peak spot toward 50%/40% utilization)
 as computed artifacts.
 """
 
-import pytest
-
 
 def test_ext_forecast(record):
     result = record("forecast")
-    headroom = result.series["headroom"]
-    assert headroom.projections[0.05] == pytest.approx(1.17, abs=0.08)
-    assert headroom.fitted_ceiling == pytest.approx(1.297, abs=0.12)
     drift = result.series["drift"]
     assert drift.slope_per_year < 0.0
     assert 2017 <= drift.year_reaching(0.5) <= 2035

@@ -3,16 +3,14 @@
 The paper's intro: "with newer results published, the derived models
 and conclusions from previous work pose greater errors" -- citing the
 EP-score correlation falling from 0.83 (Hsu & Poole's 2014 window) to
-0.741 (all 477 valid results).  The drift must reproduce.
-"""
+0.741 (all 477 valid results).
 
-import pytest
+The paper's numbers are rows of ``repro.core.pipeline.CLAIMS``, gated
+in the tier-1 suite; this bench times the build of the drift.
+"""
 
 from repro.analysis.prior_subsets import ep_score_correlation_drift
 
 
 def test_ext_prior_subsets(corpus, benchmark):
-    drift = benchmark(ep_score_correlation_drift, corpus)
-    assert drift.subset_value == pytest.approx(0.83, abs=0.06)
-    assert drift.full_value == pytest.approx(0.741, abs=0.08)
-    assert drift.drift < -0.04
+    benchmark(ep_score_correlation_drift, corpus)

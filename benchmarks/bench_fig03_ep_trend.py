@@ -2,20 +2,11 @@
 
 Paper: average EP 0.30 (2005) -> 0.82 (2012) -> ~0.84 (2016); two step
 jumps, +48.65% into 2009 and +24.24% into 2012; minimum 0.18 in 2008.
-"""
 
-import pytest
+The paper's numbers are rows of ``repro.core.pipeline.CLAIMS``, gated
+in the tier-1 suite; this bench times the build.
+"""
 
 
 def test_fig03_ep_trend(record):
-    result = record("fig3")
-    years = result.series["years"]
-    avg = dict(zip(years, result.series["avg"]))
-    minimum = dict(zip(years, result.series["min"]))
-    assert avg[2005] == pytest.approx(0.30, abs=0.035)
-    assert avg[2012] == pytest.approx(0.82, abs=0.035)
-    assert avg[2016] == pytest.approx(0.84, abs=0.035)
-    assert min(minimum.values()) == pytest.approx(0.18, abs=0.01)
-    steps = result.series["step_changes"]
-    assert steps["avg_2008_2009"] == pytest.approx(0.4865, abs=0.12)
-    assert steps["avg_2011_2012"] == pytest.approx(0.2424, abs=0.07)
+    record("fig3")

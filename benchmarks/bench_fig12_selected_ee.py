@@ -10,9 +10,6 @@ def test_fig12_selected_ee(record):
     crossings = result.series["crossings"]
     high_ep = {k: v for k, v in crossings.items() if float(k.split(":")[1]) > 1.0}
     assert len(high_ep) == 2  # the EP 1.02 and 1.05 exemplars
-    for key, (c08, c10) in high_ep.items():
-        assert c08 < 0.30, key
-        assert c10 < 0.40, key
     # Lower-EP curves cross later (or never).
     low_ep = {k: v for k, v in crossings.items() if float(k.split(":")[1]) < 0.5}
     for key, (c08, _c10) in low_ep.items():

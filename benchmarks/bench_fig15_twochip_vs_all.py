@@ -2,14 +2,11 @@
 
 Paper: +2.94% average EP, +4.13% average EE, +1.18% median EP, +6.26%
 median EE.
-"""
 
-import pytest
+The paper's numbers are rows of ``repro.core.pipeline.CLAIMS``, gated
+in the tier-1 suite; this bench times the build.
+"""
 
 
 def test_fig15_twochip(record):
-    result = record("fig15")
-    series = result.series
-    assert series["avg_ep_gain"] == pytest.approx(0.0294, abs=0.025)
-    assert series["avg_ee_gain"] == pytest.approx(0.0413, abs=0.05)
-    assert series["median_ee_gain"] > 0.0
+    record("fig15")

@@ -2,15 +2,11 @@
 
 Paper: best memory per core 4 GB; efficiency drops 10.6% when memory
 doubles to 8 GB/core.
-"""
 
-import pytest
+The paper's numbers are rows of ``repro.core.pipeline.CLAIMS``, gated
+in the tier-1 suite; this bench times the build.
+"""
 
 
 def test_fig19_server2(record):
-    result = record("fig19")
-    assert result.series["best_memory_per_core"] == pytest.approx(4.0)
-    cells = result.series["cells"]
-    at_top = {k[0]: v["ee"] for k, v in cells.items() if k[1] == 1.8}
-    drop = at_top[8.0] / at_top[4.0] - 1.0
-    assert drop == pytest.approx(-0.106, abs=0.05)
+    record("fig19")

@@ -2,14 +2,11 @@
 
 Paper: 69.25% of all published results peak at 100% utilization and
 only ~1.88% peak at 60%, against Wong's "typically ~60%" claim.
-"""
 
-import pytest
+The paper's numbers are rows of ``repro.core.pipeline.CLAIMS``, gated
+in the tier-1 suite; this bench times the build.
+"""
 
 
 def test_related_wong(record):
-    result = record("wong")
-    series = result.series
-    assert series["share_100"] == pytest.approx(0.6925, abs=0.02)
-    assert series["share_60"] == pytest.approx(0.0188, abs=0.006)
-    assert series["count_60"] == 9
+    record("wong")

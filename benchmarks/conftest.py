@@ -1,23 +1,20 @@
 """Shared fixtures for the benchmark harness.
 
 Each bench regenerates one paper artifact, times it with
-pytest-benchmark, records the rendered rows under
-``benchmarks/output/``, and asserts the paper's qualitative shape.
+pytest-benchmark, and asserts the artifact's shape (orderings,
+monotonicity, sums, set equality).  The paper's published numbers
+are rows of ``repro.core.pipeline.CLAIMS``, gated in the tier-1 suite.
 The engine benches additionally get a pre-warmed artifact cache
 (``warm_cache``) to measure cold-vs-warm ``run_all`` behavior.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.cache import ArtifactCache
 from repro.core.study import Study
 from repro.dataset.synthesis import generate_corpus
-
-OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
@@ -31,12 +28,6 @@ def study(corpus):
 
 
 @pytest.fixture(scope="session")
-def output_dir():
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    return OUTPUT_DIR
-
-
-@pytest.fixture(scope="session")
 def warm_cache(study, tmp_path_factory):
     """An artifact cache pre-filled by one cold parallel run."""
     cache = ArtifactCache(tmp_path_factory.mktemp("repro_cache"))
@@ -45,13 +36,10 @@ def warm_cache(study, tmp_path_factory):
 
 
 @pytest.fixture()
-def record(study, benchmark, output_dir):
-    """Benchmark one artifact and persist its rendered text."""
+def record(study, benchmark):
+    """Benchmark one artifact build and return its result."""
 
     def run(figure_id: str):
-        result = benchmark(study.figure, figure_id)
-        path = output_dir / f"{figure_id}.txt"
-        path.write_text(f"== {result.title} ==\n{result.text}\n")
-        return result
+        return benchmark(study.figure, figure_id)
 
     return run

@@ -10,11 +10,13 @@ and configuration; ranking by proportionality; and exporting a figure's
 data series to CSV for external plotting.
 """
 
+import csv
+import io
+
 from repro import Study
 from repro.analysis.grouping import codename_ep_table
 from repro.analysis.temporal import yearly_trend
 from repro.power.microarch import Family
-from repro.viz.series import Series, to_csv
 from repro.viz.tables import format_table
 
 
@@ -44,11 +46,13 @@ def main() -> None:
 
     # 3. Export the EP trend for external tooling.
     trend = yearly_trend(corpus, "ep", "hw")
-    series = [
-        Series.from_xy("avg_ep", trend.years(), trend.series("avg")),
-        Series.from_xy("median_ep", trend.years(), trend.series("median")),
-    ]
-    csv_text = to_csv(series)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["series", "x", "y"])
+    for name, column in (("avg_ep", "avg"), ("median_ep", "median")):
+        for year, value in zip(trend.years(), trend.series(column)):
+            writer.writerow([name, year, repr(float(value))])
+    csv_text = buffer.getvalue()
     print(f"\nCSV export of the EP trend ({len(csv_text.splitlines()) - 1} rows):")
     print("\n".join(csv_text.splitlines()[:5]) + "\n...")
 

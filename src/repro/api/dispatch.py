@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.api.requests import (
@@ -722,7 +722,7 @@ def _handle_sweep(request: SweepQuery, context: QueryContext) -> Built:
 
 @handler(EnsembleQuery)
 def _handle_ensemble(request: EnsembleQuery, context: QueryContext) -> Built:
-    """Across-seed stability, matching the classic ``repro ensemble``."""
+    """The claims rows across seeds, matching the classic ``repro ensemble``."""
     from repro.core.ensemble import run_ensemble
     from repro.viz.tables import format_table
 
@@ -731,19 +731,10 @@ def _handle_ensemble(request: EnsembleQuery, context: QueryContext) -> Built:
     )
     parts = []
     if request.per_seed:
-        rows = [
-            [
-                stats.seed,
-                stats.ep_mean,
-                stats.ee_mean,
-                stats.eq2_r_squared,
-                stats.corr_ep_idle,
-            ]
-            for stats in result.per_seed
-        ]
+        rows = [[s.name, *s.values] for s in result.summaries.values()]
         parts.append(
             format_table(
-                ["seed", "mean EP", "mean EE", "Eq.2 R^2", "corr(EP,idle)"],
+                ["claim", *map(str, result.seeds)],
                 rows,
                 title="per-seed headline statistics",
                 float_format="{:.4f}",
@@ -752,25 +743,7 @@ def _handle_ensemble(request: EnsembleQuery, context: QueryContext) -> Built:
     parts.append(result.render())
     payload = {
         "seeds": list(result.seeds),
-        "per_seed": [
-            {
-                "seed": stats.seed,
-                "ep_mean": stats.ep_mean,
-                "ee_mean": stats.ee_mean,
-                "eq2_r_squared": stats.eq2_r_squared,
-                "corr_ep_idle": stats.corr_ep_idle,
-            }
-            for stats in result.per_seed
-        ],
-        "summaries": {
-            name: {
-                "mean": summary.mean,
-                "std": summary.std,
-                "ci_low": summary.ci_low,
-                "ci_high": summary.ci_high,
-            }
-            for name, summary in result.summaries.items()
-        },
+        "summaries": [asdict(summary) for summary in result.summaries.values()],
     }
     return Built(payload=payload, text="\n".join(parts))
 

@@ -325,7 +325,7 @@ class SweepQuery(QueryRequest):
 
 @dataclass(frozen=True)
 class EnsembleQuery(QueryRequest):
-    """Across-seed headline statistics (``repro ensemble``)."""
+    """The paper's claims rows across seeds (``repro ensemble``)."""
 
     family: ClassVar[str] = "ensemble"
     servable: ClassVar[bool] = False  # spawns a process pool

@@ -13,7 +13,7 @@ Commands:
   ``--retry N``/``--timeout S`` bound each build, and
   ``--inject PLAN.json`` runs the build under a deterministic
   fault-injection plan (see :mod:`repro.core.faults`);
-* ``ensemble --seeds N --jobs J`` -- recompute the headline statistics
+* ``ensemble --seeds N --jobs J`` -- measure the paper's claims rows
   over N seeded corpora and print mean/CI summaries;
 * ``fleet-replay --servers N --steps S`` -- replay a diurnal day over
   a tiled N-server fleet; the engine (columnar, or sharded
@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ensemble = commands.add_parser(
         "ensemble",
-        help="across-seed stability of the headline statistics",
+        help="across-seed stability of the paper's claims rows",
     )
     ensemble.add_argument(
         "--seeds",
@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument(
         "--per-seed",
         action="store_true",
-        help="also print the per-seed statistics rows",
+        help="also print each claim's per-seed values",
     )
 
     fleet_replay = commands.add_parser(

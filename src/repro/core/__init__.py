@@ -15,9 +15,8 @@ from repro.core.cache import ArtifactCache, CacheStats, ENGINE_VERSION
 from repro.core.ensemble import (
     EnsembleResult,
     MetricSummary,
-    SeedStatistics,
+    claim_values,
     run_ensemble,
-    seed_statistics,
 )
 from repro.core.executor import ArtifactExecutor, ArtifactMetric, RunReport
 from repro.core.registry import FIGURE_IDS, REGISTRY, ArtifactSpec, register
@@ -36,9 +35,8 @@ __all__ = [
     "FigureResult",
     "MetricSummary",
     "RunReport",
-    "SeedStatistics",
     "Study",
+    "claim_values",
     "register",
     "run_ensemble",
-    "seed_statistics",
 ]

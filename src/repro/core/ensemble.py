@@ -1,19 +1,15 @@
-"""Multi-seed ensemble: how stable are the headline numbers?
+"""Multi-seed ensemble: how far do the paper's claims move with the seed?
 
-The paper's findings -- the EP trend, the Eq. 2 fit
-``EP = 1.2969 * exp(k * idle)`` with R^2 = 0.892, and the headline
-correlations -- are computed from one 477-server corpus.  The
-reproduction's corpus is synthesized from a seed, so the natural
-robustness question is: how much do those statistics move when the
-seed does?
-
-:func:`run_ensemble` generates N seeded corpora, recomputes the
-headline statistics per seed (:func:`seed_statistics`), and summarizes
-every scalar across seeds as mean / sample std / normal-approximation
-95% confidence interval.  A process pool fans the per-seed work out
-across cores; each seed's computation is self-contained and pure, so
-serial and parallel runs return exactly equal results (the per-seed
-floating-point work is identical, only the scheduling differs).
+The paper measured one 477-server corpus; the reproduction synthesizes
+its corpus from a seed. :func:`run_ensemble` generates N seeded
+corpora, measures every row of the claims table
+:data:`repro.core.pipeline.CLAIMS` per seed (:func:`claim_values`),
+and summarizes each row across seeds as mean / sample std /
+normal-approximation 95% confidence interval. A process pool fans the
+per-seed work out across cores; each seed's computation is
+self-contained and pure, so serial and parallel runs return exactly
+equal results (the per-seed floating-point work is identical, only the
+scheduling differs).
 
 The pool is hardened: a crashed worker (``BrokenProcessPool``) loses
 only its in-flight seeds, which are re-run on a fresh pool a bounded
@@ -36,12 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.regression_study import ep_score_correlation, idle_regression
-from repro.analysis.temporal import yearly_trend
 from repro.core.faults import FaultPlan, active_plan
 from repro.core.resilience import TransientError
 from repro.dataset.synthesis import generate_corpus
-from repro.metrics.regression import linear_fit
 
 #: Number of seeds when the caller only says "run an ensemble".
 DEFAULT_ENSEMBLE_SIZE = 5
@@ -51,28 +44,8 @@ _WAIT_TICK_S = 0.25
 
 
 @dataclass(frozen=True)
-class SeedStatistics:
-    """The headline statistics of one seeded corpus."""
-
-    seed: int
-    servers: int
-    ep_mean: float
-    ep_median: float
-    ee_mean: float
-    ep_trend_slope: float
-    ee_trend_slope: float
-    eq2_amplitude: float
-    eq2_rate: float
-    eq2_r_squared: float
-    corr_ep_idle: float
-    corr_ep_score: float
-    ep_by_year: Dict[int, float]
-    ee_by_year: Dict[int, float]
-
-
-@dataclass(frozen=True)
 class MetricSummary:
-    """Across-seed distribution of one headline scalar."""
+    """Across-seed distribution of one claims row."""
 
     name: str
     mean: float
@@ -86,31 +59,21 @@ class MetricSummary:
         return 0.5 * (self.ci_high - self.ci_low)
 
 
-#: The SeedStatistics fields summarized across seeds, in report order.
-SUMMARY_FIELDS: Tuple[str, ...] = (
-    "ep_mean",
-    "ep_median",
-    "ee_mean",
-    "ep_trend_slope",
-    "ee_trend_slope",
-    "eq2_amplitude",
-    "eq2_rate",
-    "eq2_r_squared",
-    "corr_ep_idle",
-    "corr_ep_score",
-)
-
-
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Per-seed statistics plus across-seed summaries."""
+    """Per-seed claims values plus their across-seed summaries.
+
+    ``per_seed[i]`` holds seed ``seeds[i]``'s value of every
+    :data:`~repro.core.pipeline.CLAIMS` row, in table order;
+    ``summaries`` maps each row's name to its spread, in the same order.
+    """
 
     seeds: Tuple[int, ...]
-    per_seed: Tuple[SeedStatistics, ...]
+    per_seed: Tuple[Tuple[float, ...], ...]
     summaries: Dict[str, MetricSummary]
 
     def summary(self, name: str) -> MetricSummary:
-        """The across-seed summary of one :data:`SUMMARY_FIELDS` metric."""
+        """The across-seed summary of one claims row, by its name."""
         if name not in self.summaries:
             raise KeyError(f"unknown ensemble metric {name!r}")
         return self.summaries[name]
@@ -129,7 +92,7 @@ class EnsembleResult:
             for summary in self.summaries.values()
         ]
         return format_table(
-            ["metric", "mean", "std", "95% CI"],
+            ["claim", "mean", "std", "95% CI"],
             rows,
             title=f"ensemble over {len(self.seeds)} seeds "
             f"({self.seeds[0]}..{self.seeds[-1]})",
@@ -137,48 +100,24 @@ class EnsembleResult:
         )
 
 
-def seed_statistics(seed: int, structural_effects: bool = True) -> SeedStatistics:
-    """Generate the corpus for one seed and recompute the headlines."""
+def claim_values(seed: int, structural_effects: bool = True) -> Tuple[float, ...]:
+    """Generate the corpus for one seed and measure every claims row."""
+    from repro.core.pipeline import measure
+    from repro.core.study import Study
+
     corpus = generate_corpus(seed, structural_effects=structural_effects)
-    regression = idle_regression(corpus)
-    eps = corpus.eps()
-
-    ep_trend = yearly_trend(corpus, "ep", "hw")
-    ee_trend = yearly_trend(corpus, "score", "hw")
-    ep_by_year = {year: ep_trend.by_year[year].mean for year in ep_trend.years()}
-    ee_by_year = {year: ee_trend.by_year[year].mean for year in ee_trend.years()}
-
-    return SeedStatistics(
-        seed=seed,
-        servers=len(corpus),
-        ep_mean=float(np.mean(eps)),
-        ep_median=float(np.median(eps)),
-        ee_mean=float(np.mean(corpus.scores())),
-        ep_trend_slope=linear_fit(
-            list(ep_by_year.keys()), list(ep_by_year.values())
-        ).slope,
-        ee_trend_slope=linear_fit(
-            list(ee_by_year.keys()), list(ee_by_year.values())
-        ).slope,
-        eq2_amplitude=regression.fit.amplitude,
-        eq2_rate=regression.fit.rate,
-        eq2_r_squared=regression.fit.r_squared,
-        corr_ep_idle=regression.correlation,
-        corr_ep_score=ep_score_correlation(corpus),
-        ep_by_year=ep_by_year,
-        ee_by_year=ee_by_year,
-    )
+    return measure(Study(corpus, seed=seed))
 
 
 def _seed_worker(
     seed: int, structural_effects: bool, inject: bool
-) -> SeedStatistics:
-    """Pool-side wrapper: one seed's statistics, or an injected fault."""
+) -> Tuple[float, ...]:
+    """Pool-side wrapper: one seed's claims values, or an injected fault."""
     if inject:
         raise TransientError(
             f"injected ensemble.worker fault for seed {seed}"
         )
-    return seed_statistics(seed, structural_effects=structural_effects)
+    return claim_values(seed, structural_effects=structural_effects)
 
 
 def _summarize(name: str, values: Sequence[float]) -> MetricSummary:
@@ -221,14 +160,14 @@ def _pool_round(
     pending: Sequence[int],
     structural_effects: bool,
     injections: Dict[int, bool],
-) -> Tuple[Dict[int, SeedStatistics], List[Tuple[int, BaseException]], bool]:
+) -> Tuple[Dict[int, Tuple[float, ...]], List[Tuple[int, BaseException]], bool]:
     """One process-pool pass over ``pending`` seeds.
 
     Returns (completed, worker-raised failures, pool-broke flag).
     Seeds lost to a broken pool appear in neither list — they carry no
     blame and are re-dispatched by the caller.
     """
-    completed: Dict[int, SeedStatistics] = {}
+    completed: Dict[int, Tuple[float, ...]] = {}
     failed: List[Tuple[int, BaseException]] = []
     broke = False
     try:
@@ -265,7 +204,7 @@ def run_ensemble(
     seed_retries: int = 1,
     pool_restarts: int = 1,
 ) -> EnsembleResult:
-    """Compute per-seed headline statistics and across-seed summaries.
+    """Measure the claims rows on every seed and summarize them across seeds.
 
     ``seeds`` is either an ensemble size (consecutive seeds from
     ``base_seed``) or an explicit seed sequence.  ``jobs`` > 1 fans the
@@ -291,7 +230,7 @@ def run_ensemble(
         raise ValueError("seed_retries and pool_restarts must be >= 0")
     resolved = resolve_seeds(seeds, base_seed=base_seed)
     plan = faults if faults is not None else active_plan()
-    per_seed_map: Dict[int, SeedStatistics] = {}
+    per_seed_map: Dict[int, Tuple[float, ...]] = {}
     budget = {seed: 1 + seed_retries for seed in resolved}
 
     def dispatch_injection(seed: int) -> bool:
@@ -340,9 +279,11 @@ def run_ensemble(
                 use_pool = False
         pending = [seed for seed in resolved if seed not in per_seed_map]
 
+    from repro.core.pipeline import CLAIMS
+
     per_seed = tuple(per_seed_map[seed] for seed in resolved)
     summaries = {
-        name: _summarize(name, [getattr(stats, name) for stats in per_seed])
-        for name in SUMMARY_FIELDS
+        claim.name: _summarize(claim.name, column)
+        for claim, column in zip(CLAIMS, zip(*per_seed))
     }
     return EnsembleResult(seeds=resolved, per_seed=per_seed, summaries=summaries)

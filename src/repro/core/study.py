@@ -190,15 +190,11 @@ class Study:
         structural_effects: bool = True,
         faults: Optional["FaultPlan"] = None,
     ) -> "EnsembleResult":
-        """Across-seed stability of the paper's headline statistics.
+        """Across-seed spread of the paper's claims rows.
 
         ``seeds`` is either an ensemble size — that many consecutive
         seeds starting from this study's own seed — or an explicit seed
-        sequence.  ``jobs`` > 1 distributes the per-seed corpus
-        generation and analysis over a process pool; serial and
-        parallel runs return exactly equal results, and a crashed
-        worker degrades (bounded re-runs, then serial) instead of
-        killing the run.  See :mod:`repro.core.ensemble`.
+        sequence; the rest is :func:`repro.core.ensemble.run_ensemble`.
         """
         from repro.core.ensemble import run_ensemble
 

@@ -2,18 +2,15 @@
 
 The benchmark harness regenerates every figure of the paper as data
 series; this package renders them for the terminal: multi-series line
-charts and scatter plots on a character canvas, aligned text tables,
-and CSV export for downstream plotting tools.
+charts and scatter plots on a character canvas, and aligned text tables.
 """
 
 from repro.viz.ascii_chart import bar_chart, line_chart, scatter_chart
 from repro.viz.heatmap import heatmap, sweep_heatmap
 from repro.viz.stacked import stacked_bars
-from repro.viz.series import Series, to_csv
 from repro.viz.tables import format_table
 
 __all__ = [
-    "Series",
     "bar_chart",
     "format_table",
     "heatmap",
@@ -21,5 +18,4 @@ __all__ = [
     "stacked_bars",
     "sweep_heatmap",
     "scatter_chart",
-    "to_csv",
 ]

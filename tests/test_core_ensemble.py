@@ -5,15 +5,16 @@ import io
 import pytest
 
 from repro.core.ensemble import (
-    SUMMARY_FIELDS,
     EnsembleResult,
     MetricSummary,
-    SeedStatistics,
+    claim_values,
     resolve_seeds,
     run_ensemble,
-    seed_statistics,
 )
+from repro.core.pipeline import CLAIMS
 from repro.core.study import Study
+
+NAMES = [claim.name for claim in CLAIMS]
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +44,22 @@ class TestResolveSeeds:
 
 class TestSeedStatistics:
     def test_headlines_in_plausible_ranges(self, serial_ensemble):
-        stats = serial_ensemble.per_seed[0]
-        assert isinstance(stats, SeedStatistics)
-        assert stats.seed == 2016
-        assert stats.servers == 477
-        assert 0.0 < stats.ep_mean < 1.0
-        assert 0.0 < stats.eq2_r_squared <= 1.0
-        assert -1.0 <= stats.corr_ep_idle < 0.0  # higher idle, lower EP
-        assert stats.ep_trend_slope > 0.0  # EP improves over hw years
-        assert stats.ep_by_year  # populated trend maps
+        values = serial_ensemble.per_seed[0]
+        assert len(values) == len(CLAIMS)
+        stats = dict(zip(NAMES, values))
+        assert stats["table1: servers at 1 GB/core"] == 153
+        assert 0.0 < stats["fig3: average EP in 2012"] < 1.0
+        assert 0.0 < stats["eq2: Eq. 2 R^2"] <= 1.0
+        assert -1.0 <= stats["eq2: corr(EP, idle%)"] < 0.0  # higher idle, lower EP
+        # EP improves over hw years.
+        assert stats["fig3: average EP in 2016"] > stats["fig3: average EP in 2005"]
 
     def test_matches_direct_seed_statistics(self, serial_ensemble):
-        assert seed_statistics(7) == serial_ensemble.per_seed[1]
+        assert claim_values(7) == serial_ensemble.per_seed[1]
+
+    def test_every_row_measures_without_structural_effects(self):
+        (values,) = run_ensemble([2016], structural_effects=False).per_seed
+        assert len(values) == len(CLAIMS)
 
 
 class TestSerialParallelEquivalence:
@@ -64,15 +69,15 @@ class TestSerialParallelEquivalence:
 
     def test_seed_order_preserved(self, serial_ensemble):
         assert serial_ensemble.seeds == (2016, 7)
-        assert tuple(s.seed for s in serial_ensemble.per_seed) == (2016, 7)
+        assert serial_ensemble.per_seed == (claim_values(2016), claim_values(7))
 
 
 class TestSummaries:
     def test_every_summary_field_present(self, serial_ensemble):
-        assert set(serial_ensemble.summaries) == set(SUMMARY_FIELDS)
+        assert list(serial_ensemble.summaries) == NAMES
 
     def test_summary_statistics_consistent(self, serial_ensemble):
-        summary = serial_ensemble.summary("ep_mean")
+        summary = serial_ensemble.summary("eq2: Eq. 2 R^2")
         assert isinstance(summary, MetricSummary)
         assert len(summary.values) == 2
         assert summary.ci_low <= summary.mean <= summary.ci_high
@@ -87,7 +92,7 @@ class TestSummaries:
     def test_render_lists_every_metric(self, serial_ensemble):
         rendered = serial_ensemble.render()
         assert "ensemble over 2 seeds" in rendered
-        for name in SUMMARY_FIELDS:
+        for name in NAMES:
             assert name in rendered
 
 

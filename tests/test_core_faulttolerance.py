@@ -350,17 +350,17 @@ class TestEnsembleHardening:
         import repro.core.ensemble as ensemble_module
 
         main_pid = os.getpid()
-        real = ensemble_module.seed_statistics
+        real = ensemble_module.claim_values
 
         def deadly(seed, structural_effects=True):
             if os.getpid() != main_pid:
                 os._exit(1)  # kill the pool worker outright
             return real(seed, structural_effects=structural_effects)
 
-        monkeypatch.setattr(ensemble_module, "seed_statistics", deadly)
+        monkeypatch.setattr(ensemble_module, "claim_values", deadly)
         with pytest.warns(RuntimeWarning, match="degrading"):
             result = ensemble_module.run_ensemble(
                 [2016, 2017], jobs=2, pool_restarts=0
             )
         assert result.seeds == (2016, 2017)
-        assert [stats.seed for stats in result.per_seed] == [2016, 2017]
+        assert result.per_seed == (real(2016), real(2017))

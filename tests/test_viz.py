@@ -3,7 +3,6 @@
 import pytest
 
 from repro.viz.ascii_chart import bar_chart, line_chart, scatter_chart
-from repro.viz.series import Series, to_csv
 from repro.viz.tables import format_table
 
 
@@ -65,26 +64,3 @@ class TestTables:
     def test_custom_float_format(self):
         text = format_table(["a", "b"], [["r", 3.14159]], float_format="{:.1f}")
         assert "3.1" in text and "3.14" not in text
-
-
-class TestSeries:
-    def test_from_xy_pairs_up(self):
-        series = Series.from_xy("s", [1, 2], [3, 4])
-        assert series.points == ((1.0, 3.0), (2.0, 4.0))
-        assert series.xs() == [1.0, 2.0]
-        assert series.ys() == [3.0, 4.0]
-
-    def test_from_xy_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Series.from_xy("s", [1], [1, 2])
-
-    def test_csv_long_form(self):
-        text = to_csv([Series.from_xy("s", [1], [2])])
-        lines = text.strip().splitlines()
-        assert lines[0] == "series,x,y"
-        assert lines[1] == "s,1.0,2.0"
-
-    def test_csv_written_to_disk(self, tmp_path):
-        path = tmp_path / "out.csv"
-        to_csv([Series.from_xy("s", [1], [2])], path)
-        assert path.read_text().startswith("series,x,y")
