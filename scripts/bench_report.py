@@ -70,12 +70,13 @@ CEILINGS = {
 MIN_CHECKS_WARM_SPEEDUP = 5.0
 
 #: Fixed peak-RSS budget (MiB) for the million-server sharded replay.
-#: The out-of-core design keeps residency at the spilled column maps
-#: plus a few per-step scalars, and the spill tier writes each derived
-#: column as it is built instead of holding the whole layout first, so
-#: the peak is a property of the tier, not of trace length; measured
-#: ~115 MiB (~275 MiB when the layout was built resident), budgeted
-#: about 3x.
+#: The spill tier writes each derived column as it is built instead of
+#: holding the whole layout first, and the replay reads the spilled
+#: columns from their files one shard at a time, leaving no page of
+#: them mapped, so the peak is the layout build's, not a property of
+#: trace length; measured ~75 MiB (~115 MiB while the replay kept every
+#: page it touched through the column maps, ~275 MiB when the layout
+#: was built resident), budgeted about 5x.
 MAX_FLEET_1M_RSS_MB = 384.0
 
 #: Minimum columnar-over-scalar speedup --check demands on the

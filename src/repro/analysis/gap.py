@@ -16,7 +16,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.dataset.corpus import Corpus
-from repro.metrics.gap import low_utilization_gap, peak_gap, proportionality_gap
 from repro.metrics.ep import UTILIZATION_LEVELS
 
 
@@ -31,24 +30,24 @@ class GapTrend:
 
 
 def gap_trend(corpus: Corpus) -> GapTrend:
-    """The yearly proportionality-gap trend."""
+    """The yearly proportionality-gap trend.
+
+    Each year averages its members' rows of the corpus-wide array pass
+    (:meth:`repro.dataset.columns.CorpusColumns.curve_metrics`),
+    selected by a mask over the ``hw_year`` column.
+    """
+    columns = corpus.columns()
+    metrics = columns.curve_metrics()
+    hw_year = columns.array("hw_year")
     years = corpus.hw_years()
     mean_gaps: List[float] = []
     low_gaps: List[float] = []
     peak_locations: List[float] = []
     for year in years:
-        members = corpus.by_hw_year(year)
-        gaps = []
-        lows = []
-        locations = []
-        for result in members:
-            loads, powers = result.curve()
-            gaps.append(float(proportionality_gap(loads, powers).mean()))
-            lows.append(low_utilization_gap(loads, powers))
-            locations.append(peak_gap(loads, powers)[0])
-        mean_gaps.append(float(np.mean(gaps)))
-        low_gaps.append(float(np.mean(lows)))
-        peak_locations.append(float(np.mean(locations)))
+        members = hw_year == year
+        mean_gaps.append(float(np.mean(metrics.gap_mean[members])))
+        low_gaps.append(float(np.mean(metrics.pg_low[members])))
+        peak_locations.append(float(np.mean(metrics.peak_gap_at[members])))
     return GapTrend(
         years=tuple(years),
         mean_gap=tuple(mean_gaps),
@@ -59,11 +58,10 @@ def gap_trend(corpus: Corpus) -> GapTrend:
 
 def mean_gap_profile(corpus: Corpus) -> Dict[float, float]:
     """Corpus-mean PG per measurement level (the Wong profile chart)."""
-    matrix = []
-    for result in corpus:
-        loads, powers = result.curve()
-        matrix.append(proportionality_gap(loads, powers))
-    mean = np.asarray(matrix).mean(axis=0)
+    gap = corpus.columns().curve_metrics().gap
+    if gap is None:
+        raise ValueError("records differ in level count; no shared gap profile")
+    mean = gap.mean(axis=0)
     return {
         float(level): float(value)
         for level, value in zip(UTILIZATION_LEVELS, mean)
@@ -78,17 +76,14 @@ def low_band_lag(corpus: Corpus) -> Dict[str, float]:
     ratio well above 1 is exactly "the low-utilization region is not
     well energy proportional" even on servers with good EP.
     """
-    modern = corpus.by_hw_year_range(2013, 2016)
-    low = []
-    mid = []
-    for result in modern:
-        loads, powers = result.curve()
-        low.append(low_utilization_gap(loads, powers, band=(0.1, 0.3)))
-        mid.append(low_utilization_gap(loads, powers, band=(0.5, 0.8)))
-    low_mean = float(np.mean(low))
-    mid_mean = float(np.mean(mid))
+    columns = corpus.columns()
+    metrics = columns.curve_metrics()
+    hw_year = columns.array("hw_year")
+    modern = (hw_year >= 2013) & (hw_year <= 2016)
+    low_mean = float(np.mean(metrics.pg_low[modern]))
+    mid_mean = float(np.mean(metrics.pg_mid[modern]))
     return {
-        "modern_avg_ep": float(np.mean(modern.eps())),
+        "modern_avg_ep": float(np.mean(metrics.ep[modern])),
         "low_band_gap": low_mean,
         "mid_band_gap": mid_mean,
         "low_minus_mid": low_mean - mid_mean,

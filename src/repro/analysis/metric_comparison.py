@@ -21,8 +21,6 @@ from typing import Dict, List, Tuple
 
 from repro.dataset.corpus import Corpus
 from repro.metrics.correlation import spearman
-from repro.metrics.gap import low_utilization_gap
-from repro.metrics.linearity import energy_ratio, idle_to_peak_ratio, linear_deviation
 
 #: Metric extractors over one result's power curve.
 METRIC_FAMILY = ("ep", "er", "ipr", "ld", "pg_low")
@@ -41,20 +39,20 @@ class MetricTable:
 
 
 def metric_table(corpus: Corpus) -> MetricTable:
-    """Compute the full metric family over the corpus."""
-    columns: Dict[str, List[float]] = {metric: [] for metric in METRIC_FAMILY}
-    ids = []
-    for result in corpus:
-        loads, powers = result.curve()
-        ids.append(result.result_id)
-        columns["ep"].append(result.ep)
-        columns["er"].append(energy_ratio(loads, powers))
-        columns["ipr"].append(idle_to_peak_ratio(loads, powers))
-        columns["ld"].append(linear_deviation(loads, powers))
-        columns["pg_low"].append(low_utilization_gap(loads, powers))
+    """The full metric family over the corpus.
+
+    Read from the corpus columns' memoized array pass
+    (:meth:`repro.dataset.columns.CorpusColumns.curve_metrics`), so
+    every caller on one corpus shares a single computation.
+    """
+    columns = corpus.columns()
+    metrics = columns.curve_metrics()
     return MetricTable(
-        ids=tuple(ids),
-        values={metric: tuple(values) for metric, values in columns.items()},
+        ids=tuple(columns.array("result_id").tolist()),
+        values={
+            metric: tuple(getattr(metrics, metric).tolist())
+            for metric in METRIC_FAMILY
+        },
     )
 
 

@@ -12,11 +12,14 @@ representation and the reductions:
   fixed-size shards (:data:`DEFAULT_SHARD_SIZE` servers at a time), so
   a query's working set is bounded by the shard size, not the fleet.
   Large fleets spill the columns to fingerprint-keyed ``.npy`` files
-  (:class:`repro.dataset.columns.ColumnSpillStore`) and re-open them
-  as read-only memory maps -- out-of-core, page-cache resident.  The
-  layout is derived column by column (:func:`_build_layout` is a
-  generator), so a spilling build writes each column as it is made
-  and never holds the whole layout in memory.
+  (:class:`repro.dataset.columns.ColumnSpillStore`), and every query
+  reads them shard by shard from the files, never through the memory
+  maps, so the process maps no spilled page: the files sit on disk and
+  in the page cache, and the resident set holds the shards being
+  folded.  The layout is derived column by
+  column (:func:`_build_layout` is a generator), so a spilling build
+  writes each column as it is made and never holds the whole layout
+  in memory.
 
 * **Exact sequential folds.**  The scalar paths' accumulation order is
   part of the repo's bit-identity contract, and a shard-parallel sum
@@ -79,7 +82,7 @@ from repro.dataset.columns import ColumnSpillStore
 DEFAULT_SHARD_SIZE = 65_536
 
 #: Fleets of at least this many servers spill their derived columns
-#: to disk (memmapped) instead of holding them resident.
+#: to disk instead of holding them resident.
 SPILL_THRESHOLD = 262_144
 
 #: Version tag folded into the spill key; bump when the layout changes.
@@ -88,9 +91,6 @@ _LAYOUT_TAG = "sharded-1"
 #: The derived column arrays the placement queries need, in a fixed order so
 #: spill files enumerate identically.
 _LAYOUT_NAMES = (
-    "grid",
-    "base_power",
-    "base_ops",
     "pack_perm",
     "caps_pack",
     "acc_caps_pack",
@@ -159,19 +159,13 @@ def _fold_continue(carry: float, chunk: np.ndarray) -> float:
 
 
 def _tiled_column(values: np.ndarray, count: int) -> np.ndarray:
-    """``values`` cycled out to ``count`` elements (tile + remainder)."""
-    base_count = values.shape[0]
-    if count == base_count:
-        return np.array(values, dtype=values.dtype)
-    repeats, remainder = divmod(count, base_count)
-    parts = []
-    if repeats:
-        parts.append(np.tile(values, repeats))
-    if remainder:
-        parts.append(values[:remainder])
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    """``values`` cycled out to ``count`` elements, in one allocation."""
+    tiled = np.empty(count, dtype=values.dtype)
+    repeats, remainder = divmod(count, values.shape[0])
+    whole = count - remainder
+    tiled[:whole].reshape(repeats, values.shape[0])[...] = values
+    tiled[whole:] = values[:remainder]
+    return tiled
 
 
 def _ranked(values: np.ndarray, count: int, perm: np.ndarray) -> np.ndarray:
@@ -179,9 +173,21 @@ def _ranked(values: np.ndarray, count: int, perm: np.ndarray) -> np.ndarray:
     return _tiled_column(values, count)[perm]
 
 
+def _descending(values: np.ndarray, count: int) -> np.ndarray:
+    """Stable rank order of ``values`` tiled out to ``count``, highest first.
+
+    A stable argsort on the negated key, exactly the columnar engine's
+    (and through it the scalar sort's) ordering; the key is negated in
+    place, so the sort holds one tiled copy, not two.
+    """
+    key = _tiled_column(values, count)
+    np.negative(key, out=key)
+    return np.argsort(key, kind="stable")
+
+
 def _used_counts(flags: np.ndarray) -> np.ndarray:
     """Running count of set ``flags`` (the ``servers_used`` prefixes)."""
-    return np.add.accumulate(flags.astype(np.int64))
+    return np.add.accumulate(flags, dtype=np.int64)
 
 
 def _build_layout(
@@ -210,13 +216,7 @@ def _build_layout(
     topped_util_b = base.utilization_for(topped_take_b)
     topped_pow_b = base.power_at(topped_util_b)
 
-    yield "grid", np.array(base.load_grid, dtype=np.float64)
-    yield "base_power", np.array(base.power, dtype=np.float64)
-    yield "base_ops", np.array(base.ops, dtype=np.float64)
-
-    # Ranked orders: stable argsort on the negated key, exactly the
-    # columnar engine's (and through it the scalar sort's) ordering.
-    perm = np.argsort(-_tiled_column(base.full_load_ee, count), kind="stable")
+    perm = _descending(base.full_load_ee, count)
     yield "pack_perm", perm.astype(np.int64, copy=False)
     full_cap = _tiled_column(base.full_capacity, count)
     total_capacity = float(np.add.accumulate(full_cap)[-1]) if count else 0.0
@@ -231,7 +231,7 @@ def _build_layout(
     yield "idle_pack", _ranked(base.idle_power_w, count, perm)
     yield "used_pack", _used_counts(_ranked(full_util_b, count, perm) > 0.0)
 
-    perm = np.argsort(-_tiled_column(base.peak_ee, count), kind="stable")
+    perm = _descending(base.peak_ee, count)
     yield "ep_perm", perm.astype(np.int64, copy=False)
     rank = np.empty(count, dtype=np.int64)
     rank[perm] = np.arange(count, dtype=np.int64)
@@ -240,6 +240,7 @@ def _build_layout(
     ranked = _ranked(base.spot_capacity, count, perm)
     yield "spotcap_ep", ranked
     yield "acc_spotcap_ep", np.add.accumulate(ranked)
+    del ranked
     ranked = _ranked(spot_pow_b, count, perm)
     yield "spotpow_ep", ranked
     yield "acc_spotpow_ep", np.add.accumulate(ranked)
@@ -285,11 +286,11 @@ class ShardedFleetEngine:
     records and a count, and the engine tiles the derived columns
     directly.  Fleets of at least :data:`SPILL_THRESHOLD` servers keep
     their columns out of core (``spill=True`` / ``spill=False``
-    overrides), memmapped from a
-    :class:`~repro.dataset.columns.ColumnSpillStore`.  ``layout`` maps
-    each derived column's name to its array (resident, or a read-only
-    memmap when spilled); every scan and fold visits the columns in
-    ``shard_size``-bounded slices.
+    overrides), in a :class:`~repro.dataset.columns.ColumnSpillStore`.
+    ``layout`` maps each derived column's name to its array (resident,
+    or, when spilled, the read-only memmap that names the column's file
+    and offset); every scan and fold reads the columns in
+    ``shard_size``-bounded slices through :meth:`_read`.
 
     All placement entry points return :class:`SummaryOutcome` objects
     whose scalars are bit-identical to the columnar engine's
@@ -351,15 +352,33 @@ class ShardedFleetEngine:
             yield start, end
             start = end
 
+    def _read(self, name: str, begin: int, end: int) -> np.ndarray:
+        """``layout[name][begin:end]``; every query reads the layout here.
+
+        A spilled column is read from its file into a fresh array, never
+        through its memory map, so no page of the column stays mapped in
+        this process.
+        """
+        column = self.layout[name]
+        if not self.spilled:
+            return column[begin:end]
+        rows = np.empty(end - begin, dtype=column.dtype)
+        with open(column.filename, "rb", buffering=0) as stream:
+            stream.seek(column.offset + begin * column.itemsize)
+            if stream.readinto(rows) != rows.nbytes:
+                raise OSError(f"short read from spilled column {column.filename}")
+        return rows
+
+    def _at(self, name: str, index: int):
+        """``layout[name][index]``, read through :meth:`_read`."""
+        return self._read(name, index, index + 1)[0]
+
     def _fold_slice(
         self, name: str, start: int, stop: int, carry: float = 0.0
     ) -> float:
         """Sequential sum of ``layout[name][start:stop]``, from ``carry``."""
-        values = self.layout[name]
         for begin, end in self._chunks(start, stop):
-            carry = _fold_continue(
-                carry, np.asarray(values[begin:end], dtype=np.float64)
-            )
+            carry = _fold_continue(carry, self._read(name, begin, end))
         return carry
 
     def _find_crossing(
@@ -375,10 +394,9 @@ class ShardedFleetEngine:
         remainder sequence is the exact scalar one:
         ``np.subtract.accumulate`` over ``[carry, caps...]``.
         """
-        caps = self.layout[name]
         carry = demand
         for begin, end in self._chunks(0, self.count):
-            chunk = np.asarray(caps[begin:end], dtype=np.float64)
+            chunk = self._read(name, begin, end)
             seeded = np.empty(chunk.size + 1, dtype=np.float64)
             seeded[0] = carry
             seeded[1:] = chunk
@@ -398,13 +416,11 @@ class ShardedFleetEngine:
         non-negative running sum, so one masked fold in fleet order
         reproduces it.
         """
-        idle = self.layout["idle_fleet"]
-        rank = self.layout["ep_rank"]
         carry = 0.0
         for begin, end in self._chunks(0, self.count):
             masked = np.where(
-                np.asarray(rank[begin:end]) > crossing,
-                np.asarray(idle[begin:end], dtype=np.float64),
+                self._read("ep_rank", begin, end) > crossing,
+                self._read("idle_fleet", begin, end),
                 0.0,
             )
             carry = _fold_continue(carry, masked)
@@ -414,12 +430,12 @@ class ShardedFleetEngine:
         """The precomputed running fold just before ranked ``index``."""
         if index == 0:
             return 0.0
-        return float(self.layout[name][index - 1])
+        return float(self._at(name, index - 1))
 
     def _prefix_count(self, name: str, index: int) -> int:
         if index == 0:
             return 0
-        return int(self.layout[name][index - 1])
+        return int(self._at(name, index - 1))
 
     def _row_take(self, perm_name: str, index: int, take: float) -> float:
         """Power drawn by ranked row ``index`` serving ``take`` ops.
@@ -430,10 +446,10 @@ class ShardedFleetEngine:
         50-iteration bisection, then the power interpolation -- on that
         row's Python floats.
         """
-        base_row = int(self.layout[perm_name][index]) % len(self.base)
-        grid = self.layout["grid"].tolist()
-        ops = self.layout["base_ops"][base_row].tolist()
-        power = self.layout["base_power"][base_row].tolist()
+        base_row = int(self._at(perm_name, index)) % len(self.base)
+        grid = self.base.load_grid.tolist()
+        ops = self.base.ops[base_row].tolist()
+        power = self.base.power[base_row].tolist()
         return _interp_row(grid, power, _invert_row(grid, ops, float(take)))
 
     # -- policy summaries --------------------------------------------------------
@@ -455,10 +471,10 @@ class ShardedFleetEngine:
             # Demand exceeds fleet capacity: every ranked row takes its
             # full capacity; the precomputed folds are the whole answer.
             return (
-                float(self.layout["acc_caps_pack"][n - 1]),
-                float(self.layout["acc_fullpow_pack"][n - 1]),
+                float(self._at("acc_caps_pack", n - 1)),
+                float(self._at("acc_fullpow_pack", n - 1)),
                 0.0,
-                int(self.layout["used_pack"][n - 1]),
+                int(self._at("used_pack", n - 1)),
             )
         partial_power = self._row_take("pack_perm", crossing, remaining)
         placed = self._prefix("acc_caps_pack", crossing) + remaining
@@ -506,12 +522,12 @@ class ShardedFleetEngine:
         crossing, remaining = self._find_crossing("hprime_ep", remaining)
         if crossing is None:
             return (
-                float(self.layout["acc_topped_take_ep"][n - 1]),
-                float(self.layout["acc_topped_pow_ep"][n - 1]),
+                float(self._at("acc_topped_take_ep", n - 1)),
+                float(self._at("acc_topped_pow_ep", n - 1)),
                 0.0,
-                int(self.layout["used_topped_ep"][n - 1]),
+                int(self._at("used_topped_ep", n - 1)),
             )
-        take = float(self.layout["spotcap_ep"][crossing]) + remaining
+        take = float(self._at("spotcap_ep", crossing)) + remaining
         partial_power = self._row_take("ep_perm", crossing, take)
         placed = self._fold_slice(
             "spotcap_ep",
@@ -530,8 +546,8 @@ class ShardedFleetEngine:
         used = (
             self._prefix_count("used_topped_ep", crossing)
             + 1
-            + int(self.layout["used_spot_ep"][n - 1])
-            - int(self.layout["used_spot_ep"][crossing])
+            + int(self._at("used_spot_ep", n - 1))
+            - int(self._at("used_spot_ep", crossing))
         )
         return placed, power, 0.0, used
 
@@ -632,8 +648,11 @@ class ShardedTraceReplay(DayReplay):
     The drop-in twin of
     :class:`~repro.cluster.batch_trace.BatchTraceReplay` for the
     sharded tier: same ``replay``/``compare_policies`` surface and the
-    same day loop, so the same ``TraceOutcome`` floats, while peak
-    memory stays bounded by the fleet columns.
+    same day loop, so the same ``TraceOutcome`` floats.  Each step's
+    folds read one shard per column at a time, so the replay adds about
+    a shard per column to the resident set, whatever the fleet size or
+    the trace length; a spilled fleet's columns stay on disk and in the
+    page cache.
     """
 
     def __init__(self, fleet):

@@ -43,10 +43,6 @@ class DemandTrace:
     def steps(self) -> int:
         return len(self.times_h)
 
-    def mean_demand(self) -> float:
-        """Average demand fraction over the trace."""
-        return float(np.mean(self.demand_fraction))
-
 
 def diurnal_trace(
     steps_per_day: int = 48,

@@ -16,7 +16,11 @@ attributes once, as named arrays in corpus order:
 * the fleet curve matrices (:meth:`~CorpusColumns.load_grid`,
   :meth:`~CorpusColumns.power_matrix`,
   :meth:`~CorpusColumns.ops_matrix`) consumed by
-  :class:`repro.cluster.fleet_arrays.FleetArrays`.
+  :class:`repro.cluster.fleet_arrays.FleetArrays`;
+* the proportionality-metric family and gap profile of every record
+  (:meth:`~CorpusColumns.curve_metrics`), one array pass over those
+  matrices, read by :mod:`repro.analysis.metric_comparison` and
+  :mod:`repro.analysis.gap`.
 
 Every array is memoized on first access and write-protected.  The
 store is keyed on the owning corpus' content fingerprint --
@@ -25,21 +29,27 @@ stored fingerprint no longer matches the corpus.
 
 :class:`ColumnSpillStore` adds an out-of-core tier for the sharded
 fleet engine: fingerprint-keyed ``.npy`` column files written
-atomically and read back as read-only memory maps, so a
-million-server fleet's derived vectors live on disk (and in the page
-cache) instead of resident memory.
+atomically and opened as read-only memory maps.  The files live on
+disk and in the page cache; a page of a map counts in the process'
+resident set (``VmRSS``/``VmHWM``) from the moment it is touched until
+it is unmapped, so the sharded engine reads its spilled columns from
+the files, shard by shard, instead of through the maps.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.dataset.schema import SpecPowerResult
+from repro.metrics.ep import _as_curve, energy_proportionality
+from repro.metrics.gap import low_utilization_gap, peak_gap, proportionality_gap
+from repro.metrics.linearity import energy_ratio, idle_to_peak_ratio, linear_deviation
 
 #: name -> (dtype, attribute getter) for the per-record columns.
 _COLUMN_SPECS = {
@@ -61,6 +71,98 @@ _COLUMN_SPECS = {
 }
 
 
+#: Utilization bands the gap analysis averages PG over: Wong &
+#: Annavaram's low band, and the mid band it is compared with.
+LOW_BAND = (0.1, 0.3)
+MID_BAND = (0.5, 0.8)
+
+
+@dataclass(frozen=True)
+class CurveMetrics:
+    """Every record's proportionality metrics, corpus order.
+
+    Each vector holds, per record, exactly the float the per-curve
+    function in :mod:`repro.metrics` returns for that record's curve.
+    """
+
+    ep: np.ndarray  # energy_proportionality
+    er: np.ndarray  # energy_ratio
+    ipr: np.ndarray  # idle_to_peak_ratio
+    ld: np.ndarray  # linear_deviation
+    pg_low: np.ndarray  # low_utilization_gap over LOW_BAND
+    pg_mid: np.ndarray  # low_utilization_gap over MID_BAND
+    gap_mean: np.ndarray  # proportionality_gap(...).mean()
+    peak_gap_at: np.ndarray  # peak_gap(...)[0]
+    #: ``(N, K)`` proportionality_gap rows; None when level counts differ.
+    gap: Optional[np.ndarray]
+
+
+def _band_mask(grid: np.ndarray, band) -> np.ndarray:
+    """The grid levels :func:`low_utilization_gap` averages over."""
+    low, high = band
+    inside = (grid >= low - 1e-12) & (grid <= high + 1e-12)
+    if not np.any(inside):
+        raise ValueError("no measured levels inside the band")
+    return inside
+
+
+def _matrix_metrics(grid: np.ndarray, power: np.ndarray) -> CurveMetrics:
+    """The metric family over a shared ascending grid, one array pass.
+
+    Every step is the per-curve function's own elementwise arithmetic
+    on whole rows, and every reduction runs along a C-ordered row, which
+    adds exactly what the one-curve reduction adds, so each float equals
+    the per-curve function's.
+    """
+    # Every record shares the grid, so the first record's check raises
+    # whatever the per-record route would raise first; after it, the
+    # other records can only fail on power.
+    _as_curve(grid, power[0])
+    if np.any(power < 0.0):
+        raise ValueError("power values must be non-negative")
+    norm = power / power[:, -1:]
+    area_grid, area_norm = grid, norm
+    if grid[-1] < 1.0:  # proportionality_area holds the peak out to u = 1
+        area_grid = np.append(grid, 1.0)
+        area_norm = np.concatenate((norm, norm[:, -1:]), axis=1)
+    area = np.trapezoid(area_norm, area_grid, axis=1)
+    idle = norm[:, :1]
+    chord = idle + (1.0 - idle) * grid
+    gap = norm - grid
+    return CurveMetrics(
+        ep=2.0 - 2.0 * area,
+        er=0.5 / area,
+        ipr=power[:, 0] / power[:, -1],
+        ld=np.trapezoid(norm - chord, grid, axis=1),
+        pg_low=gap[:, _band_mask(grid, LOW_BAND)].mean(axis=1),
+        pg_mid=gap[:, _band_mask(grid, MID_BAND)].mean(axis=1),
+        gap_mean=gap.mean(axis=1),
+        peak_gap_at=grid[np.argmax(gap, axis=1)],
+        gap=gap,
+    )
+
+
+def _record_metrics(results: Sequence[SpecPowerResult]) -> CurveMetrics:
+    """The metric family through the per-curve functions, record by record."""
+    curves = [result.curve() for result in results]
+
+    def column(metric, **kwargs) -> np.ndarray:
+        return np.array([metric(*curve, **kwargs) for curve in curves], dtype=float)
+
+    gaps = [proportionality_gap(*curve) for curve in curves]
+    return CurveMetrics(
+        ep=column(energy_proportionality),
+        er=column(energy_ratio),
+        ipr=column(idle_to_peak_ratio),
+        ld=column(linear_deviation),
+        pg_low=column(low_utilization_gap, band=LOW_BAND),
+        pg_mid=column(low_utilization_gap, band=MID_BAND),
+        gap_mean=np.array([float(row.mean()) for row in gaps]),
+        peak_gap_at=np.array([peak_gap(*curve)[0] for curve in curves]),
+        gap=np.array(gaps) if len({len(row) for row in gaps}) == 1 else None,
+    )
+
+
 class CorpusColumns:
     """Named column arrays over one frozen snapshot of records.
 
@@ -73,6 +175,7 @@ class CorpusColumns:
         self._results = tuple(results)
         self._fingerprint = fingerprint
         self._arrays: Dict[str, np.ndarray] = {}
+        self._curve_metrics: Optional[CurveMetrics] = None
 
     @property
     def fingerprint(self) -> str:
@@ -187,6 +290,31 @@ class CorpusColumns:
             self._arrays["ops_matrix"],
         )
 
+    # -- proportionality metrics ---------------------------------------------------
+
+    def curve_metrics(self) -> CurveMetrics:
+        """EP, ER, IPR, LD and the PG profile of every record (memoized).
+
+        One array pass over :meth:`load_grid` and :meth:`power_matrix`,
+        validated once, raising the same ``ValueError`` the per-curve
+        functions raise.  An empty corpus, or records on different grids
+        (mixed level counts among them), derive each record's metrics
+        through the per-curve functions instead.  The vectors are
+        write-protected.
+        """
+        if self._curve_metrics is None:
+            try:
+                grid, power = self.load_grid(), self.power_matrix()
+            except ValueError:
+                metrics = _record_metrics(self._results)
+            else:
+                metrics = _matrix_metrics(grid, power)
+            for array in vars(metrics).values():
+                if array is not None:
+                    array.setflags(write=False)
+            self._curve_metrics = metrics
+        return self._curve_metrics
+
 
 class ColumnSpillStore:
     """Fingerprint-keyed ``.npy`` files: the out-of-core column tier.
@@ -195,9 +323,10 @@ class ColumnSpillStore:
     content fingerprint (the sharded engine's fleet-layout hash).
     Writes go through a temporary file in the same directory followed
     by an atomic :func:`os.replace`, so a crashed or concurrent writer
-    can never leave a torn column behind; reads open the file as a
-    read-only memory map (``np.load(mmap_mode="r")``), so the data
-    costs page cache rather than resident memory.
+    can never leave a torn column behind; :meth:`load` opens the file
+    as a read-only memory map (``np.load(mmap_mode="r")``).  Opening
+    costs no resident memory, but every page a reader touches through
+    the map counts in the process' resident set until the map is gone.
 
     The default root is ``$REPRO_SPILL_DIR`` or
     ``<system tmp>/repro_spill``.

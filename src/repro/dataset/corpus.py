@@ -195,10 +195,6 @@ class Corpus:
         """Every member's idle power percentage, corpus order."""
         return [result.idle_fraction for result in self._results]
 
-    def peak_ees(self) -> List[float]:
-        """Every member's peak efficiency, corpus order."""
-        return [result.peak_ee for result in self._results]
-
     def top_fraction_by(
         self, key: Callable[[SpecPowerResult], float], fraction: float
     ) -> "Corpus":

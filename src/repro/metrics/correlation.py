@@ -40,17 +40,18 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), with ties sharing their mean rank."""
+    """Average ranks (1-based), with ties sharing their mean rank.
+
+    Each run of equal values in sorted order gets ``(first + last) / 2
+    + 1`` over its sorted positions; the ranks are half-integers, so
+    every one is exact.
+    """
     order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    lasts = np.append(starts[1:], len(values)) - 1
     ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = 0.5 * (i + j) + 1.0
-        ranks[order[i : j + 1]] = mean_rank
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + lasts) + 1.0, lasts - starts + 1)
     return ranks
 
 

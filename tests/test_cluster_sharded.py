@@ -9,6 +9,8 @@ On top of that this suite pins the tier's own surface: the lazy
 spill store.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,26 @@ class TestSpill:
             p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.npy")
         } == stamps
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/smaps").exists(), reason="needs /proc/self/smaps"
+    )
+    def test_queries_leave_at_most_one_shard_per_column_mapped(
+        self, base, tmp_path
+    ):
+        shard_size = 1024
+        engine = ShardedFleetEngine(
+            tile_fleet(base, 40_000, lazy=True),
+            shard_size=shard_size,
+            spill=True,
+            spill_store=ColumnSpillStore(tmp_path),
+        )
+        for policy in ("pack-to-full", "ep-aware"):
+            for fraction in (0.0, 0.3, 0.9, 1.2):
+                engine.place(policy, fraction * engine.total_capacity)
+        ShardedTraceReplay(engine).replay(diurnal_trace(steps_per_day=24, noise=0.0))
+        one_shard_each = len(engine.layout) * shard_size * 8
+        assert _mapped_rss_bytes(tmp_path.resolve()) <= one_shard_each
+
     def test_store_round_trip_and_clear(self, tmp_path):
         store = ColumnSpillStore(tmp_path)
         values = np.arange(12.0).reshape(3, 4)
@@ -231,6 +253,19 @@ class TestSpill:
         np.testing.assert_array_equal(np.asarray(loaded), values)
         eager = store.load("k", "col", mmap=False)
         assert not isinstance(eager, np.memmap)
+
+
+def _mapped_rss_bytes(root: Path) -> int:
+    """Resident bytes of this process' mappings of files under ``root``."""
+    total, inside = 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split(maxsplit=5)
+            if not fields[0].endswith(":"):  # a mapping's header line
+                inside = len(fields) == 6 and fields[5].startswith(str(root))
+            elif inside and fields[0] == "Rss:":
+                total += int(fields[1]) * 1024
+    return total
 
 
 class TestTiledFleetView:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.correlation import pearson, spearman
+from repro.metrics.correlation import _ranks, pearson, spearman
 
 
 class TestPearson:
@@ -69,3 +69,28 @@ class TestSpearman:
     def test_reversal_is_minus_one(self):
         x = [1.0, 2.0, 3.0, 4.0]
         assert spearman(x, x[::-1]) == pytest.approx(-1.0)
+
+    def test_ranks_equal_the_run_by_run_loop(self):
+        """The array ranking assigns what a walk over sorted runs does."""
+
+        def loop_ranks(values):
+            order = np.argsort(values, kind="mergesort")
+            ranks = np.empty(len(values), dtype=float)
+            i = 0
+            while i < len(values):
+                j = i
+                while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 17, 477):
+            for trial in range(40):
+                values = rng.integers(0, max(1, size // 3), size).astype(float)
+                if trial % 4 == 0:
+                    values = rng.normal(size=size)
+                if trial % 5 == 0:
+                    values[rng.integers(0, size)] = np.nan
+                assert np.array_equal(_ranks(values), loop_ranks(values))
