@@ -6,7 +6,7 @@ the discrete-event simulate sweep, cold/warm ``run_all`` through the
 artifact engine, multi-seed ensemble throughput, the columnar
 fleet engine (10k-server trace replay, columnar vs scalar, a placement
 sweep, and a warm 20-server cap query through ``execute``), the sharded
-out-of-core tier (a million-server replay, run in
+tier (a million-server replay, run in
 a subprocess so its peak RSS is attributable), the incremental
 ``repro checks`` self-scan (cold vs fully-warm), the serve
 daemon's warm mixed-query throughput, its cold compute scaling
@@ -70,13 +70,13 @@ CEILINGS = {
 MIN_CHECKS_WARM_SPEEDUP = 5.0
 
 #: Fixed peak-RSS budget (MiB) for the million-server sharded replay.
-#: The spill tier writes each derived column as it is built instead of
-#: holding the whole layout first, and the replay reads the spilled
-#: columns from their files one shard at a time, leaving no page of
-#: them mapped, so the peak is the layout build's, not a property of
-#: trace length; measured ~75 MiB (~115 MiB while the replay kept every
-#: page it touched through the column maps, ~275 MiB when the layout
-#: was built resident), budgeted about 5x.
+#: The sharded engine derives every column shard from the O(base)
+#: records when a fold or scan asks for it, and keeps only one running
+#: fold per shard of each prefix column, so the replay adds a few
+#: shards to the interpreter, corpus and numpy baseline whatever the
+#: fleet size or trace length; measured ~46 MiB (~75 MiB when the
+#: columns were stored in spill files, ~275 MiB when the layout was
+#: built resident), budgeted about 8x.
 MAX_FLEET_1M_RSS_MB = 384.0
 
 #: Minimum columnar-over-scalar speedup --check demands on the
@@ -239,12 +239,12 @@ def bench_fleet_replay(n_servers: int, steps: int, scalar_steps: int):
 
 
 #: The subprocess body for the mega-fleet bench: build the lazy tiled
-#: view, build the sharded replayer (spilling the columns out of
-#: core), replay the trace, and report wall time + exact peak RSS.
+#: view, route it to its engine and replayer as the query API does,
+#: replay the trace, and report wall time + the process's own peak RSS.
 _MEGA_BENCH_SCRIPT = """\
 import json, resource, sys, time
+from repro.cluster.engines import fleet_engine, trace_replayer
 from repro.cluster.fleet_arrays import tile_fleet
-from repro.cluster.sharded import ShardedTraceReplay
 from repro.cluster.trace import diurnal_trace
 from repro.dataset.synthesis import generate_corpus
 
@@ -253,15 +253,22 @@ corpus = generate_corpus(2016)
 fleet = tile_fleet(corpus.by_hw_year(2016).results(), n_servers)
 trace = diurnal_trace(steps_per_day=steps, noise=0.0)
 started = time.perf_counter()
-replayer = ShardedTraceReplay(fleet)
+replayer = trace_replayer(fleet_engine(fleet))
 outcome = replayer.replay(trace, "ep-aware")
 elapsed = time.perf_counter() - started
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+# Linux carries ru_maxrss across fork + exec, so it never reads below
+# the bench process's RSS at the spawn; VmHWM starts afresh at exec.
+try:
+    with open("/proc/self/status") as status:
+        hwm = [line for line in status if line.startswith("VmHWM:")]
+    peak_mb = int(hwm[0].split()[1]) / 1024.0
+except (OSError, IndexError):
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({
     "elapsed_s": elapsed,
     "peak_rss_mb": peak_mb,
     "energy_kwh": outcome.energy_kwh,
-    "spilled": replayer.engine.spilled,
+    "engine": type(replayer.engine).__name__,
 }))
 """
 
@@ -271,25 +278,24 @@ def bench_fleet_replay_1m(n_servers: int, steps: int):
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so the only
     way to attribute a peak to this one workload is to give it its own
-    process; a fresh spill directory keeps the run cold (layout build
-    and spill write are part of the cost a caller pays).
+    process; the engine build is part of the timed cost a caller pays.
     """
-    with tempfile.TemporaryDirectory(prefix="bench_spill_") as spill_dir:
-        env = dict(os.environ)
-        env["REPRO_SPILL_DIR"] = spill_dir
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        completed = subprocess.run(
-            [sys.executable, "-c", _MEGA_BENCH_SCRIPT,
-             str(n_servers), str(steps)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=900,
-        )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", _MEGA_BENCH_SCRIPT, str(n_servers), str(steps)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=900,
+    )
     report = json.loads(completed.stdout.splitlines()[-1])
-    if not report["spilled"]:
-        raise RuntimeError("mega-fleet bench did not engage the spill tier")
+    if report["engine"] != "ShardedFleetEngine":
+        raise RuntimeError(
+            f"fleet_engine sent the mega-fleet to {report['engine']}, "
+            f"not ShardedFleetEngine"
+        )
     return report["elapsed_s"], report["peak_rss_mb"]
 
 

@@ -68,7 +68,8 @@ def main(argv) -> int:
         routed = ShardedFleetEngine(view)
     print(
         f"fleet: {n_servers} servers over {len(view.base)} base records, "
-        f"spilled={routed.spilled}",
+        f"{-(-len(routed) // routed.shard_size)} shards of "
+        f"{routed.shard_size}",
         flush=True,
     )
 

@@ -1,4 +1,4 @@
-"""Sharded, out-of-core columnar fleet engine.
+"""Sharded fleet engine: placement summaries in O(base) memory.
 
 The columnar engine (:mod:`repro.cluster.batch_placement`) holds the
 whole fleet as one in-RAM matrix pair and walks its take loops in
@@ -6,20 +6,15 @@ Python -- both walls well before N = 10^6 servers.  This module keeps
 the *answers* of that engine bit for bit while changing the
 representation and the reductions:
 
-* **Sharded columns.**  The fleet's derived placement columns (ranked
-  capacities, idle powers, running prefix folds, rank permutations)
-  are built once, O(base) + O(N), and then only ever *streamed* in
-  fixed-size shards (:data:`DEFAULT_SHARD_SIZE` servers at a time), so
-  a query's working set is bounded by the shard size, not the fleet.
-  Large fleets spill the columns to fingerprint-keyed ``.npy`` files
-  (:class:`repro.dataset.columns.ColumnSpillStore`), and every query
-  reads them shard by shard from the files, never through the memory
-  maps, so the process maps no spilled page: the files sit on disk and
-  in the page cache, and the resident set holds the shards being
-  folded.  The layout is derived column by
-  column (:func:`_build_layout` is a generator), so a spilling build
-  writes each column as it is made and never holds the whole layout
-  in memory.
+* **Derived shards.**  A tiled fleet is B base records in k copies
+  plus a partial last copy, so every column a placement query reads is
+  a function of the base: the ranked orders have a closed form
+  (:class:`_Ranking`), a ranked or fleet-order column is a few periodic
+  runs (:class:`_Runs`), and each prefix fold is kept only as its value
+  at every shard end.  :meth:`ShardedFleetEngine._read` computes a
+  shard (:data:`DEFAULT_SHARD_SIZE` servers) when a scan or fold asks
+  for it, so the engine holds O(base) state plus O(N / shard) carries,
+  and a query's working set is a few shards whatever the fleet size.
 
 * **Exact sequential folds.**  The scalar paths' accumulation order is
   part of the repo's bit-identity contract, and a shard-parallel sum
@@ -31,13 +26,14 @@ representation and the reductions:
   ``r_{i+1} = fl(r_i - cap_i)`` is exactly ``np.subtract.accumulate``
   over ``[demand, cap_0, cap_1, ...]``, the first index with
   ``r_i <= cap_i`` is where the scalar loop takes a partial share, and
-  everything before/after it reduces from precomputed prefix folds
-  plus carry-continued suffix folds.  (Before the crossing the
-  remainder is strictly positive: ``fl(r - c)`` with ``0 <= c < r``
-  cannot round to zero -- ``c = 0`` is exact, ``r <= 2c`` is exact by
-  Sterbenz's lemma, and otherwise the result exceeds ``c`` -- so the
-  crossing test reproduces the scalar loop's branch decisions
-  exactly, including zero-capacity rows.)
+  everything before/after it reduces from the prefix folds plus
+  carry-continued suffix folds.  (Before the crossing the remainder is
+  strictly positive: ``fl(r - c)`` with ``0 <= c < r`` cannot round to
+  zero -- ``c = 0`` is exact, ``r <= 2c`` is exact by Sterbenz's lemma,
+  and otherwise the result exceeds ``c`` -- so the crossing test
+  reproduces the scalar loop's branch decisions exactly, including
+  zero-capacity rows.)  The ``servers_used`` counts fold 0/1 flags as
+  floats, exact below 2**53.
 
 * **Summaries, not assignments.**  A million-row placement cannot
   afford a million ``Assignment`` objects; queries return
@@ -49,7 +45,7 @@ representation and the reductions:
 * **Serial day loop.**  :class:`ShardedTraceReplay` runs the engines'
   one day loop (:func:`repro.cluster.batch_trace.replay_day`) step by
   step over :meth:`ShardedFleetEngine.place_totals`, so peak memory is
-  the fleet columns plus a few scalars -- never O(N * T) -- and the
+  a few shards plus the base -- never O(N * T), nor O(N) -- and the
   outcome equals the columnar replayer's.
 
 :func:`repro.cluster.engines.fleet_engine` routes lazy
@@ -59,7 +55,7 @@ representation and the reductions:
 
 from __future__ import annotations
 
-import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -76,39 +72,21 @@ from repro.cluster.fleet_arrays import (
 )
 from repro.cluster.placement import PlacementOutcome
 from repro.cluster.trace import DemandTrace, TraceOutcome
-from repro.dataset.columns import ColumnSpillStore
 
 #: Servers per shard: the streaming granule of every fold and scan.
 DEFAULT_SHARD_SIZE = 65_536
 
-#: Fleets of at least this many servers spill their derived columns
-#: to disk instead of holding them resident.
-SPILL_THRESHOLD = 262_144
-
-#: Version tag folded into the spill key; bump when the layout changes.
-_LAYOUT_TAG = "sharded-1"
-
-#: The derived column arrays the placement queries need, in a fixed order so
-#: spill files enumerate identically.
-_LAYOUT_NAMES = (
-    "pack_perm",
+#: The columns whose running fold is kept at every shard end.
+_FOLDED = (
     "caps_pack",
-    "acc_caps_pack",
-    "acc_fullpow_pack",
-    "idle_pack",
+    "fullpow_pack",
     "used_pack",
-    "ep_perm",
-    "ep_rank",
     "spotcap_ep",
-    "acc_spotcap_ep",
     "spotpow_ep",
-    "acc_spotpow_ep",
     "used_spot_ep",
-    "hprime_ep",
-    "acc_topped_take_ep",
-    "acc_topped_pow_ep",
+    "topped_take_ep",
+    "topped_pow_ep",
     "used_topped_ep",
-    "idle_fleet",
 )
 
 
@@ -142,139 +120,137 @@ class SummaryOutcome(PlacementOutcome):
         return self.summary_servers_used
 
 
-def _fold_continue(carry: float, chunk: np.ndarray) -> float:
-    """Continue a strict left-fold sum across a shard boundary.
+def _cycle_into(out: np.ndarray, pattern: np.ndarray, phase: int) -> None:
+    """Fill ``out`` with ``pattern`` repeated, from ``pattern[phase]`` on."""
+    period = pattern.size
+    head = min(out.size, period - phase)
+    out[:head] = pattern[phase : phase + head]
+    rest = out[head:]
+    whole = rest.size - rest.size % period
+    rest[:whole].reshape(-1, period)[...] = pattern
+    rest[whole:] = pattern[: rest.size - whole]
 
-    ``np.add.accumulate`` has a loop-carried dependency, so it is a
-    sequential left fold -- seeding it with the running ``carry``
-    reproduces ``carry + x_0 + x_1 + ...`` in exactly the scalar
-    paths' addition order, shard by shard.
+
+class _Runs:
+    """A fleet-length column stored as periodic runs, O(runs) memory.
+
+    Run ``r`` covers positions ``bounds[r]:bounds[r + 1]`` and repeats
+    ``values[firsts[r]:firsts[r] + sizes[r]]`` from its first element
+    on.  :meth:`read` derives any slice of the column.
     """
-    if chunk.size == 0:
-        return carry
-    seeded = np.empty(chunk.size + 1, dtype=np.float64)
-    seeded[0] = carry
-    seeded[1:] = chunk
-    return float(np.add.accumulate(seeded)[-1])
 
-
-def _tiled_column(values: np.ndarray, count: int) -> np.ndarray:
-    """``values`` cycled out to ``count`` elements, in one allocation."""
-    tiled = np.empty(count, dtype=values.dtype)
-    repeats, remainder = divmod(count, values.shape[0])
-    whole = count - remainder
-    tiled[:whole].reshape(repeats, values.shape[0])[...] = values
-    tiled[whole:] = values[:remainder]
-    return tiled
-
-
-def _ranked(values: np.ndarray, count: int, perm: np.ndarray) -> np.ndarray:
-    """``values`` tiled out to ``count`` servers, in ``perm`` order."""
-    return _tiled_column(values, count)[perm]
-
-
-def _descending(values: np.ndarray, count: int) -> np.ndarray:
-    """Stable rank order of ``values`` tiled out to ``count``, highest first.
-
-    A stable argsort on the negated key, exactly the columnar engine's
-    (and through it the scalar sort's) ordering; the key is negated in
-    place, so the sort holds one tiled copy, not two.
-    """
-    key = _tiled_column(values, count)
-    np.negative(key, out=key)
-    return np.argsort(key, kind="stable")
-
-
-def _used_counts(flags: np.ndarray) -> np.ndarray:
-    """Running count of set ``flags`` (the ``servers_used`` prefixes)."""
-    return np.add.accumulate(flags, dtype=np.int64)
-
-
-def _build_layout(
-    base: FleetArrays, count: int
-) -> Iterator[Tuple[str, np.ndarray]]:
-    """Derive the sharded query columns for ``count`` tiled servers.
-
-    O(base) curve work (per-record bisections run once and shared by
-    every clone -- clones carry bitwise-identical curves) plus O(N)
-    tiling, ranking, and prefix folds.  Yields ``(name, column)`` for
-    each of :data:`_LAYOUT_NAMES` in order, then ``("total_capacity",
-    [total])``: the fleet's total full capacity (the fleet-order
-    sequential fold the cap search seeds its bisection with).  Each
-    O(N) intermediate is dropped once the columns derived from it are
-    out, so a caller that writes every column as it arrives (the spill
-    tier) never holds the whole layout at once.
-    """
-    # Per-base-row derived values through the exact scalar pipelines.
-    spot_util_b = base.utilization_for(base.spot_capacity)
-    spot_pow_b = base.power_at(spot_util_b)
-    full_util_b = base.utilization_for(base.full_capacity)
-    full_pow_b = base.power_at(full_util_b)
-    headroom_b = base.full_capacity - base.spot_capacity
-    hprime_b = np.where(headroom_b > 0.0, headroom_b, 0.0)
-    topped_take_b = base.spot_capacity + hprime_b
-    topped_util_b = base.utilization_for(topped_take_b)
-    topped_pow_b = base.power_at(topped_util_b)
-
-    perm = _descending(base.full_load_ee, count)
-    yield "pack_perm", perm.astype(np.int64, copy=False)
-    full_cap = _tiled_column(base.full_capacity, count)
-    total_capacity = float(np.add.accumulate(full_cap)[-1]) if count else 0.0
-    ranked = full_cap[perm]
-    del full_cap
-    yield "caps_pack", ranked
-    yield "acc_caps_pack", np.add.accumulate(ranked)
-    del ranked
-    yield "acc_fullpow_pack", np.add.accumulate(
-        _ranked(full_pow_b, count, perm)
-    )
-    yield "idle_pack", _ranked(base.idle_power_w, count, perm)
-    yield "used_pack", _used_counts(_ranked(full_util_b, count, perm) > 0.0)
-
-    perm = _descending(base.peak_ee, count)
-    yield "ep_perm", perm.astype(np.int64, copy=False)
-    rank = np.empty(count, dtype=np.int64)
-    rank[perm] = np.arange(count, dtype=np.int64)
-    yield "ep_rank", rank
-    del rank
-    ranked = _ranked(base.spot_capacity, count, perm)
-    yield "spotcap_ep", ranked
-    yield "acc_spotcap_ep", np.add.accumulate(ranked)
-    del ranked
-    ranked = _ranked(spot_pow_b, count, perm)
-    yield "spotpow_ep", ranked
-    yield "acc_spotpow_ep", np.add.accumulate(ranked)
-    del ranked
-    yield "used_spot_ep", _used_counts(_ranked(spot_util_b, count, perm) > 0.0)
-    yield "hprime_ep", _ranked(hprime_b, count, perm)
-    yield "acc_topped_take_ep", np.add.accumulate(
-        _ranked(topped_take_b, count, perm)
-    )
-    yield "acc_topped_pow_ep", np.add.accumulate(
-        _ranked(topped_pow_b, count, perm)
-    )
-    yield "used_topped_ep", _used_counts(
-        _ranked(topped_util_b, count, perm) > 0.0
-    )
-    del perm
-    yield "idle_fleet", _tiled_column(base.idle_power_w, count)
-    yield "total_capacity", np.array([total_capacity])
-
-
-def _layout_key(base: FleetArrays, count: int) -> str:
-    """Content fingerprint of a fleet layout (spill-store key)."""
-    digest = hashlib.sha256()
-    digest.update(_LAYOUT_TAG.encode("utf-8"))
-    digest.update(f":{count}:{len(base)}".encode("utf-8"))
-    for array in (
-        base.load_grid,
-        base.power,
-        base.ops,
-        base.peak_ee,
-        base.primary_peak_spot,
+    def __init__(
+        self,
+        bounds: Sequence[int],
+        firsts: Sequence[int],
+        sizes: Sequence[int],
+        values: np.ndarray,
     ):
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()[:32]
+        self.bounds = bounds
+        self.firsts = firsts
+        self.sizes = sizes
+        self.values = values
+
+    @classmethod
+    def tiled(cls, values: np.ndarray, count: int) -> "_Runs":
+        """``values`` cycled out to ``count`` positions (fleet order)."""
+        return cls([0, count], [0], [values.size], values)
+
+    def read(
+        self, begin: int, end: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The column's positions ``begin:end``, into ``out`` if given."""
+        if out is None:
+            out = np.empty(end - begin, dtype=self.values.dtype)
+        bounds = self.bounds
+        first_run = bisect_right(bounds, begin) - 1
+        for run in range(first_run, bisect_left(bounds, end)):
+            first, size = self.firsts[run], self.sizes[run]
+            start, stop = max(bounds[run], begin), min(bounds[run + 1], end)
+            target = out[start - begin : stop - begin]
+            if size == 1:
+                target[...] = self.values[first]
+            else:
+                _cycle_into(
+                    target,
+                    self.values[first : first + size],
+                    (start - bounds[run]) % size,
+                )
+        return out
+
+
+class _Ranking:
+    """``np.argsort(-np.resize(key, count), kind="stable")``, in closed form.
+
+    Tiled server ``c * B + j`` carries ``key[j]``.  The stable sort
+    orders the base's tie groups by the base's own stable order, and
+    within a group by tiled index: copy by copy, each copy's members
+    in base order, then the partial last copy's members (a prefix of
+    the group, as they are the rows below ``count % B``).  Group ``g``
+    therefore owns ranks ``bounds[g]:bounds[g + 1]`` and cycles through
+    ``order[firsts[g]:firsts[g] + sizes[g]]`` there.  O(base) memory.
+    """
+
+    def __init__(self, key: np.ndarray, count: int):
+        self.count = count
+        self.order = np.argsort(-key, kind="stable")
+        ranked = key[self.order]
+        tied = (ranked[1:] == ranked[:-1]) | (
+            np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
+        )
+        firsts = np.flatnonzero(np.concatenate(([True], ~tied)))
+        sizes = np.diff(firsts, append=key.size)
+        copies, partial = divmod(count, key.size)
+        in_partial = np.add.reduceat(
+            self.order < partial, firsts, dtype=np.int64
+        )
+        self.firsts = firsts.tolist()
+        self.sizes = sizes.tolist()
+        self.bounds = [0] + np.cumsum(copies * sizes + in_partial).tolist()
+
+    def runs(self, values: np.ndarray) -> _Runs:
+        """Base ``values`` tiled out to ``count``, in rank order."""
+        return _Runs(self.bounds, self.firsts, self.sizes, values[self.order])
+
+    def _locate(self, index: int) -> Tuple[int, int, int]:
+        """(group, copy, place in the group) of rank ``index``."""
+        group = bisect_right(self.bounds, index) - 1
+        copy, place = divmod(index - self.bounds[group], self.sizes[group])
+        return group, copy, place
+
+    def base_row(self, index: int) -> int:
+        """The base record of the server at rank ``index``."""
+        group, _copy, place = self._locate(index)
+        return int(self.order[self.firsts[group] + place])
+
+    def ranked_after(self, index: int, values: np.ndarray) -> _Runs:
+        """``where(rank > index, values tiled, 0.0)``, fleet order.
+
+        A server ranks after ``index`` when its tie group follows the
+        group of ``index``, or when it is in that group and its (copy,
+        place) follows the pair of ``index``.  So the copies before,
+        at and after the copy of ``index`` each repeat one base
+        pattern: the column is three periodic runs.
+        """
+        group, copy, place = self._locate(index)
+        first, size = self.firsts[group], self.sizes[group]
+        before = np.zeros(values.size, dtype=bool)
+        before[self.order[first + size :]] = True
+        at = before.copy()
+        at[self.order[first + place + 1 : first + size]] = True
+        after = before.copy()
+        after[self.order[first : first + size]] = True
+        period = values.size
+        edges = (0, copy * period, (copy + 1) * period, self.count)
+        patterns = np.where(
+            np.concatenate((before, at, after)), np.tile(values, 3), 0.0
+        )
+        return _Runs(
+            [min(edge, self.count) for edge in edges],
+            [0, period, 2 * period],
+            [period] * 3,
+            patterns,
+        )
 
 
 class ShardedFleetEngine:
@@ -283,14 +259,11 @@ class ShardedFleetEngine:
     Accepts anything the columnar engine accepts plus a lazy
     :class:`~repro.cluster.fleet_arrays.TiledFleetView`, which it
     consumes *without materializing*: the view contributes its O(base)
-    records and a count, and the engine tiles the derived columns
-    directly.  Fleets of at least :data:`SPILL_THRESHOLD` servers keep
-    their columns out of core (``spill=True`` / ``spill=False``
-    overrides), in a :class:`~repro.dataset.columns.ColumnSpillStore`.
-    ``layout`` maps each derived column's name to its array (resident,
-    or, when spilled, the read-only memmap that names the column's file
-    and offset); every scan and fold reads the columns in
-    ``shard_size``-bounded slices through :meth:`_read`.
+    records and a count.  The engine keeps each derived column as
+    periodic runs over the base (:class:`_Runs`, O(base)) and each
+    prefix fold as its value at every shard end (O(N / shard_size));
+    every scan and fold derives the columns from those runs in
+    ``shard_size``-bounded slices (:meth:`_read`, :meth:`_folds`).
 
     All placement entry points return :class:`SummaryOutcome` objects
     whose scalars are bit-identical to the columnar engine's
@@ -300,13 +273,7 @@ class ShardedFleetEngine:
     pointing at the columnar engine.
     """
 
-    def __init__(
-        self,
-        fleet,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        spill: Optional[bool] = None,
-        spill_store: Optional[ColumnSpillStore] = None,
-    ):
+    def __init__(self, fleet, shard_size: int = DEFAULT_SHARD_SIZE):
         if shard_size < 1:
             raise ValueError("shard size must be positive")
         if isinstance(fleet, TiledFleetView):
@@ -316,30 +283,43 @@ class ShardedFleetEngine:
             self.base = FleetArrays.from_fleet(fleet)
             self.count = len(self.base)
         self.shard_size = int(shard_size)
-        if spill is None:
-            spill = self.count >= SPILL_THRESHOLD
-        #: Whether the columns live out of core (memmapped spill files).
-        self.spilled = bool(spill)
-        if spill:
-            store = spill_store if spill_store is not None else ColumnSpillStore()
-            key = _layout_key(self.base, self.count)
-            if not all(
-                store.has(key, name)
-                for name in _LAYOUT_NAMES + ("total_capacity",)
-            ):
-                # Each column is written as it is derived, then dropped.
-                for name, column in _build_layout(self.base, self.count):
-                    store.save(key, name, column)
-                    del column
-            self.layout = {
-                name: store.load(key, name) for name in _LAYOUT_NAMES
-            }
-            self.total_capacity = float(
-                store.load(key, "total_capacity", mmap=False)[0]
-            )
-        else:
-            self.layout = dict(_build_layout(self.base, self.count))
-            self.total_capacity = float(self.layout.pop("total_capacity")[0])
+        base = self.base
+        # Per-base-row derived values through the exact scalar pipelines
+        # (tiled clones carry bitwise-identical curves).
+        spot_util = base.utilization_for(base.spot_capacity)
+        full_util = base.utilization_for(base.full_capacity)
+        headroom = base.full_capacity - base.spot_capacity
+        hprime = np.where(headroom > 0.0, headroom, 0.0)
+        topped_take = base.spot_capacity + hprime
+        topped_util = base.utilization_for(topped_take)
+        self._pack = _Ranking(base.full_load_ee, self.count)
+        self._ep = _Ranking(base.peak_ee, self.count)
+        pack, ep = self._pack.runs, self._ep.runs
+        #: name -> the column as periodic runs; :meth:`_read` derives it.
+        self._columns = {
+            "caps_pack": pack(base.full_capacity),
+            "fullpow_pack": pack(base.power_at(full_util)),
+            "idle_pack": pack(base.idle_power_w),
+            "used_pack": pack((full_util > 0.0).astype(np.float64)),
+            "spotcap_ep": ep(base.spot_capacity),
+            "spotpow_ep": ep(base.power_at(spot_util)),
+            "used_spot_ep": ep((spot_util > 0.0).astype(np.float64)),
+            "hprime_ep": ep(hprime),
+            "topped_take_ep": ep(topped_take),
+            "topped_pow_ep": ep(base.power_at(topped_util)),
+            "used_topped_ep": ep((topped_util > 0.0).astype(np.float64)),
+            "idle_fleet": _Runs.tiled(base.idle_power_w, self.count),
+        }
+        #: name -> the column's running fold at the end of every shard.
+        self._carries = {
+            name: list(self._folds(self._columns[name], 0, self.count, -0.0))
+            for name in _FOLDED
+        }
+        #: The fleet-order sequential fold of the full capacities, which
+        #: the cap search seeds its bisection with (from -0.0: see _prefix).
+        self.total_capacity = self._fold(
+            _Runs.tiled(base.full_capacity, self.count), 0, self.count, -0.0
+        )
 
     def __len__(self) -> int:
         return self.count
@@ -352,34 +332,66 @@ class ShardedFleetEngine:
             yield start, end
             start = end
 
-    def _read(self, name: str, begin: int, end: int) -> np.ndarray:
-        """``layout[name][begin:end]``; every query reads the layout here.
+    def _read(
+        self, name: str, begin: int, end: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Positions ``begin:end`` of the named column, computed from the base.
 
-        A spilled column is read from its file into a fresh array, never
-        through its memory map, so no page of the column stays mapped in
-        this process.
+        A scan passes the same ``out`` buffer for every shard.
         """
-        column = self.layout[name]
-        if not self.spilled:
-            return column[begin:end]
-        rows = np.empty(end - begin, dtype=column.dtype)
-        with open(column.filename, "rb", buffering=0) as stream:
-            stream.seek(column.offset + begin * column.itemsize)
-            if stream.readinto(rows) != rows.nbytes:
-                raise OSError(f"short read from spilled column {column.filename}")
-        return rows
+        return self._columns[name].read(begin, end, out)
 
-    def _at(self, name: str, index: int):
-        """``layout[name][index]``, read through :meth:`_read`."""
-        return self._read(name, index, index + 1)[0]
+    def _folds(
+        self, column: _Runs, start: int, stop: int, carry: float
+    ) -> Iterator[float]:
+        """Sequential sums of ``column[start:end]`` from ``carry``, one
+        at each shard end ``end``.
+
+        ``np.add.accumulate`` has a loop-carried dependency, so it is a
+        sequential left fold; seeding it with the running ``carry``
+        continues ``carry + x_0 + x_1 + ...`` in exactly the scalar
+        paths' addition order, shard by shard.  Each shard is derived
+        behind the carry in one reused buffer and accumulated in place.
+        """
+        seeded = np.empty(min(self.shard_size, stop - start) + 1)
+        for begin, end in self._chunks(start, stop):
+            rows = seeded[: end - begin + 1]
+            rows[0] = carry
+            column.read(begin, end, rows[1:])
+            carry = float(np.add.accumulate(rows, out=rows)[-1])
+            yield carry
+
+    def _fold(
+        self, column: _Runs, start: int, stop: int, carry: float = 0.0
+    ) -> float:
+        """Sequential sum of ``column[start:stop]``, from ``carry``."""
+        folds = list(self._folds(column, start, stop, carry))
+        return folds[-1] if folds else carry
 
     def _fold_slice(
         self, name: str, start: int, stop: int, carry: float = 0.0
     ) -> float:
-        """Sequential sum of ``layout[name][start:stop]``, from ``carry``."""
-        for begin, end in self._chunks(start, stop):
-            carry = _fold_continue(carry, self._read(name, begin, end))
-        return carry
+        """Sequential sum of the named column's ``start:stop``."""
+        return self._fold(self._columns[name], start, stop, carry)
+
+    def _prefix(self, name: str, index: int) -> float:
+        """``np.add.accumulate(column)[index - 1]`` (0.0 at ``index`` 0).
+
+        The carry at the end of the shard before is the same fold, so
+        continuing it over part of one shard finishes it.  The first
+        shard's fold starts from ``-0.0``, the exact additive identity
+        (``-0.0 + x`` is ``x`` for every ``x``, ``-0.0`` included), so
+        it equals the unseeded accumulate.
+        """
+        if index == 0:
+            return 0.0
+        shard = (index - 1) // self.shard_size
+        carry = self._carries[name][shard - 1] if shard else -0.0
+        return self._fold_slice(name, shard * self.shard_size, index, carry)
+
+    def _prefix_count(self, name: str, index: int) -> int:
+        """How many of the named flag column's first ``index`` rows are set."""
+        return int(self._prefix(name, index))
 
     def _find_crossing(
         self, name: str, demand: float
@@ -395,17 +407,19 @@ class ShardedFleetEngine:
         ``np.subtract.accumulate`` over ``[carry, caps...]``.
         """
         carry = demand
+        size = min(self.shard_size, self.count)
+        seeded = np.empty(size + 1)
+        chain = np.empty(size + 1)
+        hits = np.empty(size, dtype=bool)
         for begin, end in self._chunks(0, self.count):
-            chunk = self._read(name, begin, end)
-            seeded = np.empty(chunk.size + 1, dtype=np.float64)
+            rows = end - begin
             seeded[0] = carry
-            seeded[1:] = chunk
-            chain = np.subtract.accumulate(seeded)
-            hits = chain[:-1] <= chunk
-            if hits.any():
-                local = int(np.argmax(hits))
+            chunk = self._read(name, begin, end, seeded[1 : rows + 1])
+            np.subtract.accumulate(seeded[: rows + 1], out=chain[: rows + 1])
+            if np.less_equal(chain[:rows], chunk, out=hits[:rows]).any():
+                local = int(np.argmax(hits[:rows]))
                 return begin + local, float(chain[local])
-            carry = float(chain[-1])
+            carry = float(chain[rows])
         return None, carry
 
     def _masked_idle_fold(self, crossing: int) -> float:
@@ -416,28 +430,10 @@ class ShardedFleetEngine:
         non-negative running sum, so one masked fold in fleet order
         reproduces it.
         """
-        carry = 0.0
-        for begin, end in self._chunks(0, self.count):
-            masked = np.where(
-                self._read("ep_rank", begin, end) > crossing,
-                self._read("idle_fleet", begin, end),
-                0.0,
-            )
-            carry = _fold_continue(carry, masked)
-        return carry
+        masked = self._ep.ranked_after(crossing, self.base.idle_power_w)
+        return self._fold(masked, 0, self.count)
 
-    def _prefix(self, name: str, index: int) -> float:
-        """The precomputed running fold just before ranked ``index``."""
-        if index == 0:
-            return 0.0
-        return float(self._at(name, index - 1))
-
-    def _prefix_count(self, name: str, index: int) -> int:
-        if index == 0:
-            return 0
-        return int(self._at(name, index - 1))
-
-    def _row_take(self, perm_name: str, index: int, take: float) -> float:
+    def _row_take(self, ranking: _Ranking, index: int, take: float) -> float:
         """Power drawn by ranked row ``index`` serving ``take`` ops.
 
         Resolves the ranked index to its base record (tiled clones
@@ -446,7 +442,7 @@ class ShardedFleetEngine:
         50-iteration bisection, then the power interpolation -- on that
         row's Python floats.
         """
-        base_row = int(self._at(perm_name, index)) % len(self.base)
+        base_row = ranking.base_row(index)
         grid = self.base.load_grid.tolist()
         ops = self.base.ops[base_row].tolist()
         power = self.base.power[base_row].tolist()
@@ -469,16 +465,16 @@ class ShardedFleetEngine:
         crossing, remaining = self._find_crossing("caps_pack", demand_ops)
         if crossing is None:
             # Demand exceeds fleet capacity: every ranked row takes its
-            # full capacity; the precomputed folds are the whole answer.
+            # full capacity; the prefix folds are the whole answer.
             return (
-                float(self._at("acc_caps_pack", n - 1)),
-                float(self._at("acc_fullpow_pack", n - 1)),
+                self._prefix("caps_pack", n),
+                self._prefix("fullpow_pack", n),
                 0.0,
-                int(self._at("used_pack", n - 1)),
+                self._prefix_count("used_pack", n),
             )
-        partial_power = self._row_take("pack_perm", crossing, remaining)
-        placed = self._prefix("acc_caps_pack", crossing) + remaining
-        power = self._prefix("acc_fullpow_pack", crossing) + partial_power
+        partial_power = self._row_take(self._pack, crossing, remaining)
+        placed = self._prefix("caps_pack", crossing) + remaining
+        power = self._prefix("fullpow_pack", crossing) + partial_power
         unused = (
             0.0
             if power_off_unused
@@ -506,9 +502,9 @@ class ShardedFleetEngine:
         crossing, remaining = self._find_crossing("spotcap_ep", demand_ops)
         if crossing is not None:
             # Pass 1 satisfied the demand at the peak-efficiency spots.
-            partial_power = self._row_take("ep_perm", crossing, remaining)
-            placed = self._prefix("acc_spotcap_ep", crossing) + remaining
-            power = self._prefix("acc_spotpow_ep", crossing) + partial_power
+            partial_power = self._row_take(self._ep, crossing, remaining)
+            placed = self._prefix("spotcap_ep", crossing) + remaining
+            power = self._prefix("spotpow_ep", crossing) + partial_power
             unused = (
                 0.0
                 if power_off_unused
@@ -522,32 +518,33 @@ class ShardedFleetEngine:
         crossing, remaining = self._find_crossing("hprime_ep", remaining)
         if crossing is None:
             return (
-                float(self._at("acc_topped_take_ep", n - 1)),
-                float(self._at("acc_topped_pow_ep", n - 1)),
+                self._prefix("topped_take_ep", n),
+                self._prefix("topped_pow_ep", n),
                 0.0,
-                int(self._at("used_topped_ep", n - 1)),
+                self._prefix_count("used_topped_ep", n),
             )
-        take = float(self._at("spotcap_ep", crossing)) + remaining
-        partial_power = self._row_take("ep_perm", crossing, take)
+        spot = self._read("spotcap_ep", crossing, crossing + 1)[0]
+        take = float(spot) + remaining
+        partial_power = self._row_take(self._ep, crossing, take)
         placed = self._fold_slice(
             "spotcap_ep",
             crossing + 1,
             n,
-            carry=self._prefix("acc_topped_take_ep", crossing) + take,
+            carry=self._prefix("topped_take_ep", crossing) + take,
         )
         power = self._fold_slice(
             "spotpow_ep",
             crossing + 1,
             n,
-            carry=self._prefix("acc_topped_pow_ep", crossing) + partial_power,
+            carry=self._prefix("topped_pow_ep", crossing) + partial_power,
         )
         # Topped rows before the crossing, the (always positive, hence
         # always used) crossing take, then the suffix's spot takes.
         used = (
             self._prefix_count("used_topped_ep", crossing)
             + 1
-            + int(self._at("used_spot_ep", n - 1))
-            - int(self._at("used_spot_ep", crossing))
+            + self._prefix_count("used_spot_ep", n)
+            - self._prefix_count("used_spot_ep", crossing + 1)
         )
         return placed, power, 0.0, used
 
@@ -649,10 +646,9 @@ class ShardedTraceReplay(DayReplay):
     :class:`~repro.cluster.batch_trace.BatchTraceReplay` for the
     sharded tier: same ``replay``/``compare_policies`` surface and the
     same day loop, so the same ``TraceOutcome`` floats.  Each step's
-    folds read one shard per column at a time, so the replay adds about
-    a shard per column to the resident set, whatever the fleet size or
-    the trace length; a spilled fleet's columns stay on disk and in the
-    page cache.
+    folds derive one shard at a time, so the replay adds a few shards
+    to the engine's O(base) state, whatever the fleet size or the
+    trace length.
     """
 
     def __init__(self, fleet):

@@ -26,23 +26,12 @@ Every array is memoized on first access and write-protected.  The
 store is keyed on the owning corpus' content fingerprint --
 :meth:`repro.dataset.corpus.Corpus.columns` rebuilds it whenever the
 stored fingerprint no longer matches the corpus.
-
-:class:`ColumnSpillStore` adds an out-of-core tier for the sharded
-fleet engine: fingerprint-keyed ``.npy`` column files written
-atomically and opened as read-only memory maps.  The files live on
-disk and in the page cache; a page of a map counts in the process'
-resident set (``VmRSS``/``VmHWM``) from the moment it is touched until
-it is unmapped, so the sharded engine reads its spilled columns from
-the files, shard by shard, instead of through the maps.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -315,61 +304,3 @@ class CorpusColumns:
             self._curve_metrics = metrics
         return self._curve_metrics
 
-
-class ColumnSpillStore:
-    """Fingerprint-keyed ``.npy`` files: the out-of-core column tier.
-
-    Each array lives at ``<root>/<key>/<name>.npy`` where ``key`` is a
-    content fingerprint (the sharded engine's fleet-layout hash).
-    Writes go through a temporary file in the same directory followed
-    by an atomic :func:`os.replace`, so a crashed or concurrent writer
-    can never leave a torn column behind; :meth:`load` opens the file
-    as a read-only memory map (``np.load(mmap_mode="r")``).  Opening
-    costs no resident memory, but every page a reader touches through
-    the map counts in the process' resident set until the map is gone.
-
-    The default root is ``$REPRO_SPILL_DIR`` or
-    ``<system tmp>/repro_spill``.
-    """
-
-    def __init__(self, root: Union[str, Path, None] = None):
-        if root is None:
-            root = os.environ.get("REPRO_SPILL_DIR") or (
-                Path(tempfile.gettempdir()) / "repro_spill"
-            )
-        self.root = Path(root)
-
-    def path(self, key: str, name: str) -> Path:
-        """Where the named column for ``key`` lives on disk."""
-        return self.root / key / f"{name}.npy"
-
-    def has(self, key: str, name: str) -> bool:
-        """Whether the named column has been spilled for ``key``."""
-        return self.path(key, name).is_file()
-
-    def save(self, key: str, name: str, array: np.ndarray) -> Path:
-        """Atomically persist ``array`` as ``<key>/<name>.npy``."""
-        destination = self.path(key, name)
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=str(destination.parent), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                np.save(stream, np.ascontiguousarray(array))
-            os.replace(tmp_name, destination)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return destination
-
-    def load(self, key: str, name: str, mmap: bool = True) -> np.ndarray:
-        """Open a spilled column, as a read-only memmap by default."""
-        return np.load(
-            self.path(key, name),
-            mmap_mode="r" if mmap else None,
-            allow_pickle=False,
-        )

@@ -1,18 +1,20 @@
-"""Tests for the sharded, shared-memory, out-of-core fleet tier.
+"""Tests for the sharded fleet tier, whose columns derive from the base.
 
 The contract is the same bit-identity bar the columnar engines are
 held to: on overlapping scales the sharded summaries must equal the
 columnar reductions float for float (same sequential sum order, same
 int-vs-float zero types), with no tolerances anywhere in this file.
-On top of that this suite pins the tier's own surface: the lazy
-``TiledFleetView``, the eager-tiling memory budget, and the column
-spill store.
+On top of that this suite pins the tier's own surface: every derived
+shard against a fully materialized layout, the replay's memory bound,
+the lazy ``TiledFleetView`` and the eager-tiling memory budget.
 """
 
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.batch_trace import BatchTraceReplay
@@ -30,13 +32,15 @@ from repro.cluster.fleet_arrays import (
 )
 from repro.cluster.reference import _utilization_for
 from repro.cluster.sharded import (
+    DEFAULT_SHARD_SIZE,
     ShardedFleetEngine,
     ShardedTraceReplay,
-    _fold_continue,
+    _Ranking,
     streamed_level_capacity,
 )
 from repro.cluster.trace import diurnal_trace
-from repro.dataset.columns import ColumnSpillStore
+from repro.dataset.schema import LoadLevel, SpecPowerResult
+from repro.power.microarch import Codename
 
 
 @pytest.fixture(scope="module")
@@ -195,77 +199,237 @@ class TestReplayParity:
             shard_replay.replay(diurnal_trace(noise=0.0), "noop")
 
 
-class TestSpill:
-    def test_spilled_engine_matches_in_ram(self, base, tmp_path, capacity):
-        view = tile_fleet(base, 1500, lazy=True)
-        store = ColumnSpillStore(tmp_path)
-        spilled = ShardedFleetEngine(
-            view, shard_size=640, spill=True, spill_store=store
-        )
-        in_ram = ShardedFleetEngine(view, shard_size=640, spill=False)
-        assert spilled.spilled and not in_ram.spilled
-        for fraction in (0.0, 0.4, 0.9, 1.1):
-            demand = fraction * capacity / 10_000 * 1500
-            for policy in ("pack-to-full", "ep-aware"):
-                assert _summary_key(
-                    spilled.place(policy, demand, True)
-                ) == _summary_key(in_ram.place(policy, demand, True))
+def _record(result_id, kind, scale=1.0):
+    """A one-node result whose curve ``kind`` picks its placement edge.
 
-    def test_spill_files_are_reused(self, base, tmp_path):
-        view = tile_fleet(base, 800, lazy=True)
-        store = ColumnSpillStore(tmp_path)
-        ShardedFleetEngine(view, spill=True, spill_store=store)
-        files = sorted(p.name for p in tmp_path.rglob("*.npy"))
-        assert files
-        stamps = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.npy")}
-        ShardedFleetEngine(view, spill=True, spill_store=store)
-        assert {
-            p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.npy")
-        } == stamps
-
-    @pytest.mark.skipif(
-        not Path("/proc/self/smaps").exists(), reason="needs /proc/self/smaps"
+    ``linear`` peaks in efficiency at full load (zero headroom),
+    ``convex`` peaks mid-curve, and ``zero`` / ``negzero`` serve no
+    ops at all (zero spot capacity, keys of +0.0 / -0.0); ``scale``
+    multiplies the throughput, so equal kinds tie only at equal scale.
+    """
+    loads = [round(0.1 * i, 1) for i in range(1, 11)]
+    max_ops = {"zero": 0.0, "negzero": -0.0}.get(kind, 9000.0 * scale)
+    power = {
+        "convex": lambda u: 200.0 * (0.3 + 0.7 * u * u),
+    }.get(kind, lambda u: 150.0 * (0.4 + 0.6 * u))
+    levels = [
+        LoadLevel(target_load=u, ssj_ops=max_ops * u, average_power_w=power(u))
+        for u in loads
+    ]
+    return SpecPowerResult(
+        result_id=result_id,
+        vendor="Acme",
+        model="AS-1",
+        form_factor="2U",
+        hw_year=2016,
+        published_year=2016,
+        codename=Codename.HASWELL,
+        nodes=1,
+        chips_per_node=2,
+        cores_per_chip=12,
+        memory_gb=64.0,
+        levels=levels,
+        active_idle_power_w=power(0.0),
     )
-    def test_queries_leave_at_most_one_shard_per_column_mapped(
-        self, base, tmp_path
-    ):
-        shard_size = 1024
-        engine = ShardedFleetEngine(
-            tile_fleet(base, 40_000, lazy=True),
-            shard_size=shard_size,
-            spill=True,
-            spill_store=ColumnSpillStore(tmp_path),
+
+
+def _materialized(view):
+    """Every derived column at full length, by sorting the tiled keys.
+
+    The oracle the engine's closed form must reproduce: a stable
+    argsort of the negated key over the whole tiled fleet, as the
+    columnar engine ranks servers.
+    """
+    base = FleetArrays.from_records(view.base)
+    count = len(view)
+    spot_util = base.utilization_for(base.spot_capacity)
+    full_util = base.utilization_for(base.full_capacity)
+    headroom = base.full_capacity - base.spot_capacity
+    hprime = np.where(headroom > 0.0, headroom, 0.0)
+    topped_take = base.spot_capacity + hprime
+    topped_util = base.utilization_for(topped_take)
+    pack = np.argsort(-np.resize(base.full_load_ee, count), kind="stable")
+    ep = np.argsort(-np.resize(base.peak_ee, count), kind="stable")
+
+    def ranked(perm, values):
+        return np.resize(values, count)[perm]
+
+    def flags(util):
+        return (util > 0.0).astype(np.float64)
+
+    columns = {
+        "caps_pack": ranked(pack, base.full_capacity),
+        "fullpow_pack": ranked(pack, base.power_at(full_util)),
+        "idle_pack": ranked(pack, base.idle_power_w),
+        "used_pack": ranked(pack, flags(full_util)),
+        "spotcap_ep": ranked(ep, base.spot_capacity),
+        "spotpow_ep": ranked(ep, base.power_at(spot_util)),
+        "used_spot_ep": ranked(ep, flags(spot_util)),
+        "hprime_ep": ranked(ep, hprime),
+        "topped_take_ep": ranked(ep, topped_take),
+        "topped_pow_ep": ranked(ep, base.power_at(topped_util)),
+        "used_topped_ep": ranked(ep, flags(topped_util)),
+        "idle_fleet": np.resize(base.idle_power_w, count),
+    }
+    return columns, pack, ep
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+KINDS = ["linear", "convex", "zero", "negzero"]
+
+
+@st.composite
+def tiled_fleets(draw):
+    """(view, shard size): ties, zero rows and partial tiles on purpose."""
+    curves = st.tuples(st.sampled_from(KINDS), st.sampled_from([1.0, 2.0]))
+    palette = draw(st.lists(curves, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=9))
+    base = [_record(f"r{i}", *curve) for i, curve in enumerate(picks)]
+    count = draw(st.integers(1, 5 * len(base) + 3))
+    shard_size = draw(st.integers(1, count + 2))
+    return TiledFleetView(base, count), shard_size
+
+
+def _fleet(kinds, count, shard_size):
+    base = [_record(f"r{i}", kind) for i, kind in enumerate(kinds)]
+    return TiledFleetView(base, count), shard_size
+
+
+EDGE_CASES = [
+    # A partial last tile over tied rows, with shards that do not divide it.
+    _fleet(["convex", "linear", "convex", "zero"], 11, 3),
+    # count == len(base), every kind once.
+    _fleet(KINDS, 4, 4),
+    # +0.0 and -0.0 keys tie across distinct records.
+    _fleet(["negzero", "zero", "negzero", "linear"], 9, 2),
+]
+
+
+class TestDerivedLayout:
+    """The closed-form layout equals the materialized one, shard by shard."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiled_fleets())
+    @example(EDGE_CASES[0])
+    @example(EDGE_CASES[1])
+    @example(EDGE_CASES[2])
+    def test_shards_prefixes_and_folds_match_the_oracle(self, case):
+        view, shard_size = case
+        engine = ShardedFleetEngine(view, shard_size=shard_size)
+        columns, pack, ep = _materialized(view)
+        count = len(view)
+        for name, column in columns.items():
+            for begin in range(0, count, shard_size):
+                end = min(begin + shard_size, count)
+                assert _bits(engine._read(name, begin, end)) == _bits(
+                    column[begin:end]
+                ), name
+            if name not in engine._carries:
+                continue
+            running = np.add.accumulate(column)
+            for index in range(count + 1):
+                expected = running[index - 1] if index else 0.0
+                assert _bits(engine._prefix(name, index)) == _bits(expected)
+        size = len(view.base)
+        assert [engine._pack.base_row(i) for i in range(count)] == (
+            pack % size
+        ).tolist()
+        assert [engine._ep.base_row(i) for i in range(count)] == (
+            ep % size
+        ).tolist()
+        rank = np.empty(count, dtype=np.int64)
+        rank[ep] = np.arange(count)
+        for crossing in range(count):
+            masked = np.where(rank > crossing, columns["idle_fleet"], 0.0)
+            expected = np.add.accumulate(np.concatenate(([0.0], masked)))[-1]
+            assert _bits(engine._masked_idle_fold(crossing)) == _bits(expected)
+        capacities = FleetArrays.from_records(view.base).full_capacity
+        assert _bits(engine.total_capacity) == _bits(
+            np.add.accumulate(np.resize(capacities, count))[-1]
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiled_fleets())
+    @example(EDGE_CASES[0])
+    @example(EDGE_CASES[1])
+    @example(EDGE_CASES[2])
+    def test_place_totals_match_columnar(self, case):
+        view, shard_size = case
+        engine = ShardedFleetEngine(view, shard_size=shard_size)
+        columnar = BatchPlacementEngine(list(view))
+        capacity = max(engine.total_capacity, 1.0)
         for policy in ("pack-to-full", "ep-aware"):
-            for fraction in (0.0, 0.3, 0.9, 1.2):
-                engine.place(policy, fraction * engine.total_capacity)
-        ShardedTraceReplay(engine).replay(diurnal_trace(steps_per_day=24, noise=0.0))
-        one_shard_each = len(engine.layout) * shard_size * 8
-        assert _mapped_rss_bytes(tmp_path.resolve()) <= one_shard_each
-
-    def test_store_round_trip_and_clear(self, tmp_path):
-        store = ColumnSpillStore(tmp_path)
-        values = np.arange(12.0).reshape(3, 4)
-        store.save("k", "col", values)
-        assert store.has("k", "col")
-        loaded = store.load("k", "col")
-        assert isinstance(loaded, np.memmap)
-        np.testing.assert_array_equal(np.asarray(loaded), values)
-        eager = store.load("k", "col", mmap=False)
-        assert not isinstance(eager, np.memmap)
+            for fraction in (0.0, 0.2, 0.5, 0.8, 1.0, 1.4):
+                for power_off in (False, True):
+                    demand = fraction * capacity
+                    assert engine.place_totals(policy, demand, power_off) == (
+                        columnar.place_totals(policy, demand, power_off)
+                    )
 
 
-def _mapped_rss_bytes(root: Path) -> int:
-    """Resident bytes of this process' mappings of files under ``root``."""
-    total, inside = 0, False
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            fields = line.split(maxsplit=5)
-            if not fields[0].endswith(":"):  # a mapping's header line
-                inside = len(fields) == 6 and fields[5].startswith(str(root))
-            elif inside and fields[0] == "Rss:":
-                total += int(fields[1]) * 1024
-    return total
+class TestRanking:
+    def test_closed_form_matches_argsort_on_raw_keys(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            size = int(rng.integers(1, 9))
+            key = rng.choice([0.0, -0.0, 1.5, 2.5, np.nan], size=size)
+            count = int(rng.integers(1, 5 * key.size + 3))
+            perm = np.argsort(-np.resize(key, count), kind="stable")
+            ranking = _Ranking(key, count)
+            rows = [ranking.base_row(index) for index in range(count)]
+            assert rows == (perm % key.size).tolist()
+
+
+def _state_sizes(value, path="engine"):
+    """path -> length of every array, list and tuple an engine holds."""
+    sizes = {}
+    if isinstance(value, np.ndarray):
+        sizes[path] = value.size
+    elif isinstance(value, (list, tuple)):
+        sizes[path] = len(value)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            sizes.update(_state_sizes(item, f"{path}[{key!r}]"))
+    elif type(value).__module__.startswith("repro.cluster"):
+        for key, item in vars(value).items():
+            sizes.update(_state_sizes(item, f"{path}.{key}"))
+    return sizes
+
+
+class TestMemoryBound:
+    def test_engine_state_does_not_grow_with_the_fleet(self, corpus):
+        """Only the per-shard carries grow with the server count."""
+        base = corpus.by_hw_year(2016).results()
+        small, large = (
+            _state_sizes(ShardedFleetEngine(tile_fleet(base, n, lazy=True)))
+            for n in (300_000, 1_000_000)
+        )
+        assert small.keys() == large.keys()
+        shards = -(-1_000_000 // DEFAULT_SHARD_SIZE)
+        for path, size in large.items():
+            carries = path.startswith("engine._carries")
+            assert size == (shards if carries else small[path]), path
+
+    def test_replay_peak_does_not_grow_with_the_fleet(self, corpus):
+        """Building the engine and a 24-step replay trace a few shards."""
+        base = corpus.by_hw_year(2016).results()
+        trace = diurnal_trace(steps_per_day=24, noise=0.0)
+
+        def traced_peak(count):
+            tracemalloc.start()
+            try:
+                fleet = tile_fleet(base, count, lazy=True)
+                ShardedTraceReplay(fleet).replay(trace, "ep-aware")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        at_300k, at_1m = traced_peak(300_000), traced_peak(1_000_000)
+        assert at_1m < 4 * DEFAULT_SHARD_SIZE * 8
+        assert abs(at_1m - at_300k) <= 1024 * 1024
 
 
 class TestTiledFleetView:
@@ -345,21 +509,20 @@ class TestTileFleetValidation:
 
 
 class TestSequentialFolds:
-    def test_fold_continue_equals_python_sum(self):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(0.0, 1e6, size=1000)
+    def test_shard_folds_equal_python_sum(self, base):
+        fleet = tile_fleet(base, 1000, lazy=True)
+        engine = ShardedFleetEngine(fleet, shard_size=350)
+        values = engine._read("spotcap_ep", 0, 1000)
         total = 0.0
-        for value in values:
+        for value in values.tolist():
             total = total + value
-        carry = 0.0
-        for start in (0, 17, 333, 334, 999, 1000):
-            stop = min(1000, start + 350)
-            carry = _fold_continue(carry, values[start:stop])
+        # Uneven slices: each fold continues the one before it.
         chunked = 0.0
         edges = [0, 17, 350, 367, 684, 700, 1000]
         for lo, hi in zip(edges, edges[1:]):
-            chunked = _fold_continue(chunked, values[lo:hi])
+            chunked = engine._fold_slice("spotcap_ep", lo, hi, chunked)
         assert chunked == total
+        assert engine._prefix("spotcap_ep", 1000) == total
 
     def test_streamed_level_capacity_matches_scalar_sum(self, base):
         for count in (1, len(base), 3 * len(base) + 7):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.dataset.columns import (
     _COLUMN_SPECS,
-    ColumnSpillStore,
     CorpusColumns,
 )
 from repro.dataset.corpus import Corpus
@@ -120,13 +119,6 @@ class TestCurveMatrices:
         columns = corpus.columns()
         assert built.power is columns.power_matrix()
         assert built.ops is columns.ops_matrix()
-
-
-class TestSpillTier:
-    def test_default_root_honours_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "cols"))
-        store = ColumnSpillStore()
-        assert store.root == tmp_path / "cols"
 
 
 class TestEmptyCorpus:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import tempfile
 import threading
 
 import pytest
@@ -91,25 +92,28 @@ class TestPoolExecution:
         assert document["stats"]["worker_restarts"] == 0
 
 
-def spill_files(root):
+def written_files(root):
     return [path for path in root.rglob("*") if path.is_file()]
 
 
 class TestForkInheritance:
-    def test_pool_writes_no_spill_files(self, tmp_path, monkeypatch):
+    def test_pool_writes_no_files(self, tmp_path, monkeypatch):
         # fork inheritance is the only way warm state reaches the
-        # workers: nothing is written under the spill root, forked
-        # workers start with the parent's curve matrices, and a
-        # spawned replacement rebuilds the same answers from the seed
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
+        # workers: nothing is written under the temp root (forked
+        # workers inherit tempfile.tempdir, the spawned replacement
+        # TMPDIR), forked workers start with the parent's curve
+        # matrices, and a spawned replacement rebuilds the same answers
+        # from the seed
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setenv("TMPDIR", str(scratch))
         app = pooled_app(workers=1)
         plan = FaultPlan(
             [FaultSpec(site="serve.worker", mode="fail-once")], seed=7
         )
         try:
-            assert spill_files(spill) == []
+            assert written_files(scratch) == []
             built = app.context.corpus(app.seed).columns()._arrays
             assert {"load_grid", "power_matrix", "ops_matrix"} <= set(built)
             forked = drive(app, [REPLAY, STATS])
@@ -118,7 +122,7 @@ class TestForkInheritance:
             assert app._pool.restarts == 1
         finally:
             app.stop_workers()
-        assert spill_files(spill) == []
+        assert written_files(scratch) == []
         baseline = drive(pooled_app(workers=0), [REPLAY, STATS, PLACEMENT])
         for (status, body), (_status, expected) in zip(
             forked + respawned, baseline
