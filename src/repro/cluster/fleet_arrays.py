@@ -172,20 +172,33 @@ def _invert_row(grid: Sequence[float], ops: Sequence[float], take: float) -> flo
     ``[low, high]`` lies inside one grid segment, the rest are solved
     in closed form by :func:`_finish_in_segment`.  A take whose answer
     sits on a knot keeps the interval straddling it, and runs all 50.
+
+    Each halving looks up one segment: ``mid``'s, which interpolates
+    ``mid`` exactly as :func:`_interp_row` does and, when ``low`` moves
+    to ``mid``, is carried forward as ``low``'s segment.
     """
     if take <= 0.0:
         return 0.0
     if take >= ops[-1]:
         return 1.0
     last = len(grid) - 2
+    end = grid[-1]
     low, high = 0.0, 1.0
+    index = min(max(bisect_right(grid, low) - 1, 0), last)
     for done in range(1, 51):
         mid = 0.5 * (low + high)
-        if _interp_row(grid, ops, mid) < take:
-            low = mid
+        if mid >= end:
+            at, value = last, ops[-1]
+        else:
+            # mid < grid[-1], so the segment is at most ``last``.
+            at = max(bisect_right(grid, mid) - 1, 0)
+            x0 = grid[at]
+            y0 = ops[at]
+            value = (ops[at + 1] - y0) / (grid[at + 1] - x0) * (mid - x0) + y0
+        if value < take:
+            low, index = mid, at
         else:
             high = mid
-        index = min(max(bisect_right(grid, low) - 1, 0), last)
         if grid[index] <= low and high <= grid[index + 1]:
             return _finish_in_segment(
                 grid, ops, take, index, low, high, 50 - done

@@ -10,12 +10,17 @@ depend on which engine ``fleet_engine`` picks.
 """
 
 import json
+import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.api.dispatch import _outcome_payload
-from repro.cluster.batch_placement import BatchPlacementEngine
+from repro.cluster.batch_placement import _ROW_KERNEL_MAX, BatchPlacementEngine
 from repro.cluster.batch_trace import BatchTraceReplay
 from repro.cluster.engines import fleet_engine, trace_replayer
 from repro.cluster.fleet_arrays import FleetArrays, tile_fleet
@@ -421,7 +426,7 @@ class TestBackendRouting:
         with pytest.raises(TypeError, match="fleet_backend"):
             pack_to_full_placement(fleet, 0.0, fleet_backend="gpu")
 
-    def test_scalar_resolves_to_none(self, fleet):
+    def test_unrepresentable_fleets_are_refused(self, fleet):
         # There is no scalar route: fleets the columns cannot represent
         # are refused, and every other fleet, however small, gets an
         # engine.
@@ -432,19 +437,19 @@ class TestBackendRouting:
                 replay_trace(unrepresentable, diurnal_trace(noise=0.0))
         assert isinstance(fleet_engine(fleet[:5]), BatchPlacementEngine)
 
-    def test_auto_small_fleet_falls_back(self, fleet):
+    def test_small_fleet_refused_only_on_mixed_grids(self, fleet):
         # A small fleet is refused only when its grids disagree.
         mixed = [_server("a"), _server("b", loads=[0.25, 0.5, 0.75, 1.0])]
         with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
             fleet_engine(mixed)
         assert isinstance(fleet_engine(fleet[:2]), BatchPlacementEngine)
 
-    def test_auto_large_fleet_engages(self, fleet):
+    def test_corpus_cohort_gets_the_columnar_engine(self, fleet):
         engine = fleet_engine(fleet)
         assert isinstance(engine, BatchPlacementEngine)
         assert isinstance(trace_replayer(engine), BatchTraceReplay)
 
-    def test_auto_falls_back_on_duplicate_ids(self, fleet):
+    def test_duplicate_ids_are_refused(self, fleet):
         doubled = fleet + fleet
         with pytest.raises(ValueError, match="empty|heterogeneous|duplicate"):
             fleet_engine(doubled)
@@ -463,7 +468,7 @@ class TestBackendRouting:
         from_list = _pack_to_full_scalar(fleet, 0.5 * capacity)
         assert _placement_key(direct) == _placement_key(from_list)
 
-    def test_study_backends_agree(self, corpus, study):
+    def test_placement_artifact_matches_scalar_loops(self, corpus, study):
         # The placement artifact (routed to the columnar engine) equals
         # the scalar reference loops on the same cohort.
         figure = study.figure("placement")
@@ -581,6 +586,172 @@ class TestSmallFleetParity:
             server = engine.arrays.records[row]
             assert utilization == _utilization_for(server, take)
             assert power == power_at(server, utilization)
+
+
+#: The shared load grid of the hand-built servers (``_server``'s default).
+_LOADS = [round(0.1 * i, 1) for i in range(1, 11)]
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _inexact_spot(full: float, fraction: float):
+    """A spot capacity near ``fraction * full`` whose top-up misses ``full``.
+
+    The EP-aware top-up gives a spot-filled row ``spot + (full - spot)``;
+    for these pairs that rounds below ``full``, so the row's take is
+    neither its spot nor its full capacity and stays open.  ``None``
+    when no such float lies within 512 ulps.
+    """
+    spot = fraction * full
+    for _ in range(512):
+        if spot + (full - spot) < full:
+            return spot
+        spot = math.nextafter(spot, math.inf)
+    return None
+
+
+def _peaked_server(result_id: str, spot: float, full: float, knot: int, idle: float):
+    """A server whose efficiency peaks at ``_LOADS[knot]`` with throughput ``spot``.
+
+    Below the knot throughput grows in proportion to load over an idle
+    floor, so efficiency rises; above it power grows twice as fast as
+    throughput, so efficiency halves.  Full capacity is ``full``.
+    """
+    peak_load = _LOADS[knot]
+    ops, power = [], []
+    for index, load in enumerate(_LOADS):
+        if index < knot:
+            value = spot * load / peak_load
+            ops.append(value)
+            power.append(idle + 100.0 * load)
+        elif index == knot:
+            ops.append(spot)
+            power.append(idle + 100.0 * load)
+        else:
+            share = (load - peak_load) / (1.0 - peak_load)
+            value = full if index == len(_LOADS) - 1 else spot + (full - spot) * share
+            ops.append(value)
+            power.append(2.0 * (idle + 100.0 * peak_load) * value / spot)
+    return replace(
+        _server(result_id),
+        levels=[
+            LoadLevel(target_load=u, ssj_ops=o, average_power_w=w)
+            for u, o, w in zip(_LOADS, ops, power)
+        ],
+        active_idle_power_w=idle,
+        _cache={},
+    )
+
+
+@st.composite
+def _small_fleets(draw):
+    """1-12 servers mixing the cases the known-answer walk must sort.
+
+    Linear servers peak at full load (spot capacity equal to full),
+    dead ones have zero capacity, peaked ones leave their top-up open,
+    and clones tie an earlier server in both rank keys.
+    """
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["linear", "dead", "peaked", "clone"]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    fleet = []
+    for index, kind in enumerate(kinds):
+        result_id = f"h{index}"
+        if kind == "clone" and fleet:
+            fleet.append(replace(draw(st.sampled_from(fleet)), result_id=result_id))
+        elif kind == "dead":
+            fleet.append(_server(result_id, max_ops=0.0))
+        elif kind == "peaked":
+            full = draw(st.floats(1_000.0, 50_000.0))
+            spot = _inexact_spot(full, draw(st.floats(0.05, 0.45)))
+            assume(spot is not None)
+            knot = draw(st.integers(1, len(_LOADS) - 2))
+            idle = draw(st.floats(50.0, 300.0))
+            fleet.append(_peaked_server(result_id, spot, full, knot, idle))
+        else:
+            fleet.append(
+                _server(
+                    result_id,
+                    max_ops=draw(st.floats(100.0, 50_000.0)),
+                    idle=draw(st.floats(0.05, 0.6)),
+                    peak_w=draw(st.floats(50.0, 500.0)),
+                )
+            )
+    return fleet
+
+
+def _open_rows(engine, rows, takes) -> list:
+    """The rows whose take is neither spot nor at-or-past full capacity."""
+    return [
+        row
+        for row, take in zip(rows, takes)
+        if take != engine._spot_cap[row]
+        and not (take > 0.0 and take >= engine._full_cap[row])
+    ]
+
+
+class TestPerQueryPathProperties:
+    """The known-answer walk and the row inversion, on generated fleets.
+
+    ``place_totals`` must equal the materialized outcome's totals bit
+    for bit, and ``place``/``max_throughput_under_cap`` the scalar
+    oracle loops, whichever branch each row takes: spot answer,
+    full-load pin, single-row inversion or the batched one.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fleet=_small_fleets(),
+        fraction=st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1.2]), st.floats(0.0, 1.25)
+        ),
+        cap_fraction=st.floats(0.1, 1.5),
+        power_off=st.booleans(),
+    )
+    def test_engine_matches_the_scalar_loops(
+        self, fleet, fraction, cap_fraction, power_off
+    ):
+        engine = BatchPlacementEngine(fleet)
+        demand = fraction * sum(throughput_at(s, 1.0) for s in fleet)
+        cap_w = cap_fraction * sum(power_at(s, 1.0) for s in fleet)
+        for policy in POLICIES:
+            outcome = engine.place(policy, demand, power_off)
+            scalar = _POLICY_LOOPS[policy](fleet, demand, power_off)
+            assert _outcome_json(outcome) == _outcome_json(scalar)
+            placed, power = engine.place_totals(policy, demand, power_off)
+            assert _bits(placed) == _bits(outcome.placed_ops)
+            assert _bits(power) == _bits(outcome.total_power_w)
+            capped = engine.max_throughput_under_cap(cap_w, policy, power_off)
+            assert _outcome_json(capped) == _outcome_json(
+                _max_throughput_under_cap_scalar(fleet, cap_w, policy, power_off)
+            )
+
+    @pytest.mark.parametrize("power_off", [False, True])
+    def test_inexact_top_ups_take_the_batched_inversion(self, power_off):
+        full = 31_522.183049595395
+        spot = _inexact_spot(full, 0.35)
+        assert spot is not None
+        fleet = [
+            _peaked_server(f"p{i}", spot, full, 4, 120.0) for i in range(12)
+        ] + [_server("linear"), _server("dead", max_ops=0.0)]
+        engine = BatchPlacementEngine(fleet)
+        assert engine._spot_cap[0] == spot
+        demand = sum(throughput_at(s, 1.0) for s in fleet)
+        rows, takes, _ = engine._ep(demand, power_off)
+        assert len(_open_rows(engine, rows, takes)) > _ROW_KERNEL_MAX
+        outcome = engine.ep_aware(demand, power_off)
+        assert _outcome_json(outcome) == _outcome_json(
+            _ep_aware_scalar(fleet, demand, power_off)
+        )
+        placed, power = engine.place_totals("ep-aware", demand, power_off)
+        assert _bits(placed) == _bits(outcome.placed_ops)
+        assert _bits(power) == _bits(outcome.total_power_w)
 
 
 class TestCapacityEdgeCases:

@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.fleet_arrays import (
     FleetArrays,
@@ -297,3 +299,34 @@ class TestCorpusRows:
                 for row, expected in enumerate(batched):
                     got = _interp_row(grid, table[row].tolist(), u)
                     assert _bits(got) == _bits(expected), (row, u)
+
+
+@st.composite
+def _bare_rows(draw):
+    """A grid from 0.0 (ending at 1.0 or short of it) and a rising ops row."""
+    loads = sorted(
+        set(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10)))
+    )
+    if draw(st.booleans()):
+        loads = sorted(set(loads) | {1.0})
+    steps = draw(
+        st.lists(
+            st.floats(0.0, 5_000.0), min_size=len(loads), max_size=len(loads)
+        )
+    )
+    return [0.0] + loads, [0.0] + np.cumsum(steps).tolist()
+
+
+class TestGeneratedRows:
+    """One segment lookup per halving, against the batched bisection."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(row=_bare_rows(), fractions=st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_invert_row_matches_bisect_rows(self, row, fractions):
+        grid, ops = row
+        takes = _adversarial_takes(grid, ops) + [ops[-1] * f for f in fractions]
+        batched = _bisect_rows(
+            np.array(grid), np.array([ops] * len(takes)), np.array(takes)
+        ).tolist()
+        for take, expected in zip(takes, batched):
+            assert _bits(_invert_row(grid, ops, take)) == _bits(expected), take
