@@ -29,9 +29,9 @@ def study(corpus):
 
 @pytest.fixture(scope="session")
 def warm_cache(study, tmp_path_factory):
-    """An artifact cache pre-filled by one cold parallel run."""
+    """An artifact cache pre-filled by one cold run."""
     cache = ArtifactCache(tmp_path_factory.mktemp("repro_cache"))
-    study.run_all(jobs=4, cache=cache)
+    study.run_all(cache=cache)
     return cache
 
 

@@ -212,7 +212,7 @@ def bench_simulate_sweep(repeats: int) -> float:
     )
 
 
-def bench_run_all(jobs: int):
+def bench_run_all():
     """Cold build then warm (fully cached) rerun; returns both times."""
     from repro.core.cache import ArtifactCache
     from repro.core.study import Study
@@ -221,10 +221,10 @@ def bench_run_all(jobs: int):
         study = Study()
         cache = ArtifactCache(cache_dir)
         started = time.perf_counter()
-        study.run_all(jobs=jobs, cache=cache)
+        study.run_all(cache=cache)
         cold = time.perf_counter() - started
         started = time.perf_counter()
-        study.run_all(jobs=jobs, cache=cache)
+        study.run_all(cache=cache)
         warm = time.perf_counter() - started
     return cold, warm
 
@@ -693,7 +693,6 @@ def main(argv=None) -> int:
     sweep_repeats = 1 if args.quick else 3
     ensemble_seeds = 3 if args.quick else 6
     ensemble_jobs = 3 if args.quick else 4
-    run_all_jobs = 4
     fleet_servers = 10_000
     trace_steps = 96
     scalar_steps = 1 if args.quick else 2
@@ -712,7 +711,7 @@ def main(argv=None) -> int:
     print("benchmarking simulate sweep ...", flush=True)
     timings["simulate_sweep_s"] = bench_simulate_sweep(sweep_repeats)
     print("benchmarking cold/warm run_all ...", flush=True)
-    cold, warm = bench_run_all(run_all_jobs)
+    cold, warm = bench_run_all()
     timings["run_all_cold_s"] = cold
     timings["run_all_warm_s"] = warm
     timings["warm_speedup"] = cold / warm if warm > 0 else float("inf")
@@ -779,7 +778,6 @@ def main(argv=None) -> int:
             "sweep_repeats": sweep_repeats,
             "ensemble_seeds": ensemble_seeds,
             "ensemble_jobs": ensemble_jobs,
-            "run_all_jobs": run_all_jobs,
             "fleet_servers": fleet_servers,
             "trace_steps": trace_steps,
             "scalar_steps": scalar_steps,

@@ -65,9 +65,8 @@ def main(argv) -> int:
 
     # Transient faults + retries: no quarantine, identical artifacts.
     cache = ArtifactCache(cache_dir)
-    study.run_all(jobs=4, cache=cache)  # warm the cache for cache.read
+    study.run_all(cache=cache)  # warm the cache for cache.read
     masked = study.run_all(
-        jobs=4,
         cache=cache,
         report=True,
         on_error="isolate",
@@ -91,7 +90,7 @@ def main(argv) -> int:
         [FaultSpec(site="builder.fig5", mode="fail", error="build")]
     )
     broken = study.run_all(
-        jobs=4, report=True, on_error="isolate", retry=retry, faults=permanent
+        report=True, on_error="isolate", retry=retry, faults=permanent
     )
     if broken.failures.failed_ids != ("fig5",):
         failures.append(
@@ -105,7 +104,6 @@ def main(argv) -> int:
 
     # Determinism: same plan + seed, same ledger signature.
     rerun = study.run_all(
-        jobs=2,
         report=True,
         on_error="isolate",
         retry=retry,

@@ -821,7 +821,6 @@ def _handle_run_all(request: RunAllQuery, context: QueryContext) -> Built:
     if request.use_cache or request.cache_dir is not None:
         cache = ArtifactCache(request.cache_dir or DEFAULT_CACHE_DIR)
     run_report = context.study(request).run_all(
-        jobs=request.jobs,
         cache=cache,
         report=True,
         on_error=request.on_error,

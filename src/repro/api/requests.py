@@ -384,11 +384,10 @@ class RunAllQuery(QueryRequest):
     """Render every artifact to files (``repro run-all``)."""
 
     family: ClassVar[str] = "run_all"
-    servable: ClassVar[bool] = False  # writes files, may fork the build
+    servable: ClassVar[bool] = False  # writes to the local filesystem
     cacheable: ClassVar[bool] = False
 
     output_dir: str = "artifacts"
-    jobs: int = 1
     show_report: bool = False
     on_error: str = "raise"
     retry: Optional[int] = None
@@ -403,7 +402,6 @@ class RunAllQuery(QueryRequest):
             self.on_error in ("raise", "isolate"),
             "on_error must be 'raise' or 'isolate'",
         )
-        _require(self.jobs > 0, "jobs must be positive")
         _require(
             self.retry is None or self.retry > 0,
             "retry must be positive when given",

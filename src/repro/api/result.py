@@ -18,7 +18,7 @@ from typing import Any, Dict
 from repro.api.serialize import jsonify
 
 #: Version of the query API envelope.
-API_VERSION = "3"
+API_VERSION = "4"
 
 
 @dataclass(frozen=True)

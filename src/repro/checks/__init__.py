@@ -3,10 +3,10 @@
 The repo's correctness rests on discipline no general-purpose linter
 knows about: every random draw flows through explicitly seeded
 ``numpy.random.Generator`` substreams, the declarative artifact
-registry stays resolvable and acyclic, builders stay pure under the
-thread-pool executor, and the vectorized kernels stay paired with
-their scalar reference twins.  This package enforces all four as
-lint rules::
+registry stays resolvable and acyclic, builders stay pure over the
+``Study`` that the serve daemon's threads share, and the vectorized
+kernels stay paired with their scalar reference twins.  This package
+enforces all four as lint rules::
 
     python -m repro checks src              # scan, exit 1 on findings
     python -m repro checks --list-rules     # the invariant catalog

@@ -1,10 +1,10 @@
 """Concurrency-safety rules (REP30x): pooled code must not mutate.
 
-The artifact executor runs registered builders on a thread pool over
-one shared :class:`Study`, and the ensemble engine ships worker
-functions to a process pool.  Parallel == serial only holds while
-those functions are pure readers of shared state.  This family flags
-the writes that would break it:
+The serve daemon's executor threads run registered builders over one
+shared :class:`Study` (and one ``QueryContext``) per seed, and the
+ensemble engine ships worker functions to a process pool.  Concurrent
+answers equal serial ones only while those functions are pure readers
+of shared state.  This family flags the writes that would break it:
 
 * REP301 — ``global`` declarations with writes;
 * REP302 — class-attribute writes (``Cls.attr = ...``,

@@ -5,8 +5,8 @@ the artifact engine: the executor trusts that every
 ``ArtifactSpec.depends`` id resolves, that the dependency graph is
 acyclic, and that every builder matches the engine's calling
 convention (a zero-argument bound method after ``spec.bind(study)``).
-A typo there fails at run time, deep inside a thread pool — these
-rules fail it at lint time instead.
+A typo there fails at run time, deep inside a build — these rules
+fail it at lint time instead.
 
 Two complementary passes share the rule ids:
 

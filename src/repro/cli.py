@@ -14,7 +14,8 @@ Commands:
   ``--inject PLAN.json`` runs the build under a deterministic
   fault-injection plan (see :mod:`repro.core.faults`);
 * ``ensemble --seeds N --jobs J`` -- measure the paper's claims rows
-  over N seeded corpora and print mean/CI summaries;
+  over N seeded corpora (on J worker processes) and print mean/CI
+  summaries;
 * ``fleet-replay --servers N --steps S`` -- replay a diurnal day over
   a tiled N-server fleet; the engine (columnar, or sharded
   out-of-core for million-server fleets) follows the fleet size;
@@ -36,11 +37,10 @@ frozen :class:`repro.api.QueryRequest`, hands it to
 text rendering by default, or as the full JSON envelope (payload +
 provenance) under the global ``--format json``.
 
-The global ``--jobs N`` option widens the execution engine's thread
-pool and ``--cache`` (with optional ``--cache-dir DIR``) enables the
-content-addressed artifact cache (default store: ``.repro_cache/``),
-so e.g. ``python -m repro --jobs 4 --cache run-all`` builds in
-parallel and a repeat invocation is served from disk.
+The global ``--cache`` option (with optional ``--cache-dir DIR``)
+enables the content-addressed artifact cache (default store:
+``.repro_cache/``), so e.g. ``python -m repro --cache run-all``
+builds once and a repeat invocation is served from disk.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=2016, help="corpus generation seed"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for the artifact engine (default 1 = serial)",
     )
     parser.add_argument(
         "--cache",
@@ -191,6 +185,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5,
         metavar="N",
         help="ensemble size: N consecutive seeds starting at --seed (default 5)",
+    )
+    ensemble.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="J",
+        help="worker processes for the seeds (default 1 = serial)",
     )
     ensemble.add_argument(
         "--per-seed",
@@ -343,7 +344,6 @@ def _cmd_run_all(args, context: QueryContext, out) -> int:
         RunAllQuery(
             seed=args.seed,
             output_dir=args.output_dir,
-            jobs=args.jobs,
             show_report=args.report,
             on_error=args.on_error,
             retry=args.retry,

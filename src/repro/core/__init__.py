@@ -6,9 +6,9 @@ both the raw data series and a plain-text rendering.  The declarative
 registry in :mod:`repro.core.registry` maps every artifact of the
 paper (Figs. 1-21, Tables I-II, Eq. 2, and the scalar findings) to an
 :class:`~repro.core.registry.ArtifactSpec`; the execution engine in
-:mod:`repro.core.executor` schedules those specs topologically across
-a thread pool and, through :mod:`repro.core.cache`, serves repeat
-builds from a content-addressed on-disk store.
+:mod:`repro.core.executor` walks those specs in topological order
+and, through :mod:`repro.core.cache`, serves repeat builds from a
+content-addressed on-disk store.
 """
 
 from repro.core.cache import ArtifactCache, CacheStats, ENGINE_VERSION

@@ -1,4 +1,4 @@
-"""Parallel artifact execution engine with caching, retries, isolation.
+"""Serial artifact execution engine with caching, retries, isolation.
 
 :class:`ArtifactExecutor` turns the declarative registry
 (:mod:`repro.core.registry`) into an execution plan:
@@ -8,9 +8,9 @@
    the build *and* its dependencies;
 2. the remaining artifacts and the shared resources they declare
    (``"corpus"``, ``"sweep:N"``) form a dependency graph that is
-   topologically scheduled across a thread pool, so a sweep shared by
-   several figures (e.g. server #4 feeding fig20 and fig21) is
-   computed exactly once;
+   walked in topological order on the calling thread, so a sweep
+   shared by several figures (e.g. server #4 feeding fig20 and fig21)
+   is computed exactly once, before any artifact that reads it;
 3. every build is timed, and the :class:`RunReport` returned by
    :meth:`ArtifactExecutor.run` carries per-artifact wall time and
    cache-hit flags next to the results.
@@ -20,9 +20,8 @@ Failure semantics (:mod:`repro.core.resilience`) are explicit:
 * ``retry=RetryPolicy(...)`` retries transient per-node failures on a
   bounded, deterministic (seeded-jitter) backoff schedule;
 * ``timeout_s`` puts a wall-clock budget on every node;
-* ``on_error="raise"`` (default) aborts on the first unrecovered
-  failure — after *draining* in-flight builds, so no worker mutates
-  shared state past the raise;
+* ``on_error="raise"`` (default) records the first unrecovered
+  failure in the ledger and re-raises it;
 * ``on_error="isolate"`` quarantines the failing node plus its
   downstream dependents, finishes everything else, and returns a
   partial report whose :attr:`RunReport.failures` ledger records every
@@ -31,18 +30,14 @@ Failure semantics (:mod:`repro.core.resilience`) are explicit:
   (:mod:`repro.core.faults`) through every ``builder.<id>`` /
   ``resource.<key>`` site, which is how all of the above is tested.
 
-Threads (not processes) carry the parallelism: builders share the
-memoized corpus metrics and sweep results in place, the hot loops sit
-in numpy, and results need no cross-process pickling.
+The walk is serial.  The builders are GIL-bound Python, so a thread
+pool over them measured no faster than this loop.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections.abc import Mapping
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from graphlib import TopologicalSorter
 from typing import (
@@ -73,18 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The recognized ``on_error`` modes of :meth:`ArtifactExecutor.run`.
 ON_ERROR_MODES = ("raise", "isolate")
 
-#: Tick for bounded waits on the pool (keeps every wait timed without
-#: ever giving up on a healthy long build).
-_WAIT_TICK_S = 0.25
-
-#: How long an aborting run waits for in-flight builds to drain.
-_DRAIN_TIMEOUT_S = 60.0
-
-
-def default_jobs() -> int:
-    """Worker count when none is requested: capped CPU count."""
-    return min(8, os.cpu_count() or 1)
-
 
 @dataclass(frozen=True)
 class ArtifactMetric:
@@ -104,7 +87,6 @@ class ArtifactMetric:
 class _NodeFailure:
     """Internal: one node's unrecovered failure, with retry context."""
 
-    node: str
     error: BaseException
     attempts: int
     elapsed_s: float
@@ -124,10 +106,8 @@ class RunReport(Mapping):
     results: Dict[str, "FigureResult"]
     metrics: Dict[str, ArtifactMetric]
     resource_seconds: Dict[str, float]
-    jobs: int
     total_seconds: float
     cache_dir: Optional[str] = None
-    errors: List[str] = field(default_factory=list)
     failures: FailureLedger = field(default_factory=FailureLedger)
     on_error: str = "raise"
 
@@ -153,7 +133,7 @@ class RunReport(Mapping):
     @property
     def ok(self) -> bool:
         """Whether every requested artifact was produced."""
-        return not self.failures and not self.errors
+        return not self.failures
 
     @property
     def quarantined(self) -> Dict[str, str]:
@@ -176,7 +156,7 @@ class RunReport(Mapping):
             ["artifact", "source", "ms"],
             rows,
             title=f"engine run: {len(self.results)} artifacts, "
-            f"{self.cache_hits} cached, jobs={self.jobs}",
+            f"{self.cache_hits} cached",
             float_format="{:.2f}",
         )
         summary = (
@@ -199,25 +179,22 @@ class RunReport(Mapping):
 class ArtifactExecutor:
     """Schedules artifact builds for one :class:`Study`.
 
-    ``jobs`` sets the thread-pool width (1 = serial, ``None`` = capped
-    CPU count); ``cache`` is an :class:`ArtifactCache` keyed on the
-    study's corpus fingerprint, ``True`` for the default store, or
-    ``False``/``None`` for no caching.  ``on_error``, ``retry``,
-    ``timeout_s``, and ``faults`` select the failure semantics (see
-    the module docstring).  Parallel and serial runs produce identical
-    results *and identical failure ledgers*: builders only read shared
-    state, the memoized sweep resources are resolved before any
-    dependent artifact starts, and retry jitter is seeded.
+    ``cache`` is an :class:`ArtifactCache` keyed on the study's corpus
+    fingerprint, ``True`` for the default store, or ``False``/``None``
+    for no caching.  ``on_error``, ``retry``, ``timeout_s``, and
+    ``faults`` select the failure semantics (see the module
+    docstring).  Repeated runs produce identical results *and
+    identical failure ledgers*: the walk order is a function of the
+    registry and retry jitter is seeded.
     """
 
-    def __init__(self, study: "Study", jobs: Optional[int] = None,
+    def __init__(self, study: "Study",
                  cache: Union[bool, ArtifactCache, None] = None,
                  on_error: str = "raise",
                  retry: Optional[RetryPolicy] = None,
                  timeout_s: Optional[float] = None,
                  faults: Optional[FaultPlan] = None):
         self.study = study
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         if isinstance(cache, bool):
             cache = ArtifactCache() if cache else None
         self.cache = cache
@@ -234,7 +211,6 @@ class ArtifactExecutor:
         if (faults is not None and self.cache is not None
                 and self.cache.faults is None):
             self.cache.faults = faults
-        self._lock = threading.Lock()
 
     # -- graph construction -------------------------------------------------------
 
@@ -263,7 +239,6 @@ class ArtifactExecutor:
         results: Dict[str, "FigureResult"] = {}
         metrics: Dict[str, ArtifactMetric] = {}
         resource_seconds: Dict[str, float] = {}
-        errors: List[str] = []
         failures = FailureLedger()
 
         fingerprint = self.study.fingerprint if self.cache is not None else ""
@@ -284,7 +259,7 @@ class ArtifactExecutor:
 
         if to_build:
             self._build(to_build, fingerprint, results, metrics,
-                        resource_seconds, errors, failures)
+                        resource_seconds, failures)
 
         ordered_ids = [spec.artifact_id for spec in specs]
         return RunReport(
@@ -293,10 +268,8 @@ class ArtifactExecutor:
             metrics={fid: metrics[fid] for fid in ordered_ids
                      if fid in metrics},
             resource_seconds=resource_seconds,
-            jobs=self.jobs,
             total_seconds=time.perf_counter() - started,
             cache_dir=str(self.cache.root) if self.cache is not None else None,
-            errors=errors,
             failures=failures,
             on_error=self.on_error,
         )
@@ -314,7 +287,7 @@ class ArtifactExecutor:
 
         Returns ``None`` on success, else the :class:`_NodeFailure`
         carrying the final exception and the attempt count — the
-        scheduler decides whether that aborts the run or quarantines a
+        walk decides whether that aborts the run or quarantines a
         subgraph.
         """
         site = self._site(node, build_ids)
@@ -330,20 +303,16 @@ class ArtifactExecutor:
                     elapsed = time.perf_counter() - started
                     if self.cache is not None:
                         self.cache.put(fingerprint, node, result)
-                    with self._lock:
-                        results[node] = result
-                        metrics[node] = ArtifactMetric(
-                            node, elapsed, cache_hit=False
-                        )
+                    results[node] = result
+                    metrics[node] = ArtifactMetric(
+                        node, elapsed, cache_hit=False
+                    )
                 else:
                     run_with_timeout(
                         lambda: self._resolve_resource(node),
                         self.timeout_s, site,
                     )
-                    with self._lock:
-                        resource_seconds[node] = (
-                            time.perf_counter() - started
-                        )
+                    resource_seconds[node] = time.perf_counter() - started
                 return None
             except Exception as exc:
                 if (self.retry is not None and attempts < self.retry.attempts
@@ -351,58 +320,23 @@ class ArtifactExecutor:
                     time.sleep(self.retry.delay_s(site, attempts))
                     continue
                 return _NodeFailure(
-                    node, exc, attempts, time.perf_counter() - started
+                    exc, attempts, time.perf_counter() - started
                 )
 
-    def _register_failure(
-        self,
-        failure: _NodeFailure,
-        errors: List[str],
-        failures: FailureLedger,
-        children: Dict[str, Set[str]],
-        build_ids: Set[str],
-        quarantined: Dict[str, str],
-    ) -> Optional[BaseException]:
-        """Record a node failure; returns the exception to raise, if any.
-
-        In ``isolate`` mode the downstream closure of the failed node
-        is quarantined (recorded in the ledger, skipped by the
-        scheduler) and ``None`` comes back; in ``raise`` mode the
-        original exception is returned for the scheduler to re-raise
-        after draining.
-        """
-        with self._lock:
-            errors.append(f"{failure.node}: {failure.error!r}")
-            failures.add(failure_record(
-                failure.node, failure.error, failure.attempts,
-                failure.elapsed_s,
-            ))
-            if self.on_error == "raise":
-                return failure.error
-            # Quarantine every transitive dependent of the failed node.
-            stack = [failure.node]
-            while stack:
-                current = stack.pop()
-                for child in sorted(children.get(current, ())):
-                    if child in quarantined or child == failure.node:
-                        continue
-                    quarantined[child] = failure.node
-                    if child in build_ids:
-                        failures.add(
-                            quarantine_record(child, failure.node)
-                        )
-                    stack.append(child)
-        return None
-
-    # -- scheduling ---------------------------------------------------------------
+    # -- the walk -----------------------------------------------------------------
 
     def _build(self, specs: List[ArtifactSpec], fingerprint: str,
                results: Dict[str, "FigureResult"],
                metrics: Dict[str, ArtifactMetric],
                resource_seconds: Dict[str, float],
-               errors: List[str],
-               failures: Optional[FailureLedger] = None) -> None:
-        failures = failures if failures is not None else FailureLedger()
+               failures: FailureLedger) -> None:
+        """Build ``specs`` and their resources in topological order.
+
+        A node failure is recorded in ``failures``.  In ``raise`` mode
+        its exception is then re-raised; in ``isolate`` mode every
+        transitive dependent of the failed node is quarantined
+        (recorded in the ledger and skipped) and the walk goes on.
+        """
         build_ids = {spec.artifact_id for spec in specs}
         graph: Dict[str, Set[str]] = {}
         for spec in specs:
@@ -416,65 +350,27 @@ class ArtifactExecutor:
                 children[dependency].add(node)
         quarantined: Dict[str, str] = {}
 
-        def run_node(node: str) -> Optional[_NodeFailure]:
-            return self._run_node(
+        for node in TopologicalSorter(graph).static_order():
+            if node in quarantined:
+                continue
+            failure = self._run_node(
                 node, build_ids, fingerprint, results, metrics,
                 resource_seconds,
             )
-
-        sorter: TopologicalSorter = TopologicalSorter(graph)
-        if self.jobs == 1:
-            for node in sorter.static_order():
-                if node in quarantined:
-                    continue
-                failure = run_node(node)
-                if failure is None:
-                    continue
-                exc = self._register_failure(
-                    failure, errors, failures, children, build_ids,
-                    quarantined,
-                )
-                if exc is not None:
-                    raise exc
-            return
-
-        sorter.prepare()
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            pending: Dict[Future, str] = {}
-            abort: Optional[BaseException] = None
-            while sorter.is_active() or pending:
-                submitted_or_skipped = False
-                for node in sorter.get_ready():
-                    submitted_or_skipped = True
-                    if node in quarantined:
-                        sorter.done(node)
-                    else:
-                        pending[pool.submit(run_node, node)] = node
-                if not pending:
-                    if submitted_or_skipped:
-                        continue  # skipping may have readied successors
-                    break  # pragma: no cover - defensive
-                done, _ = wait(
-                    pending, timeout=_WAIT_TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    node = pending.pop(future)
-                    sorter.done(node)
-                    failure = future.result(timeout=0)
-                    if failure is not None:
-                        exc = self._register_failure(
-                            failure, errors, failures, children,
-                            build_ids, quarantined,
-                        )
-                        if exc is not None:
-                            abort = exc
-                if abort is not None:
-                    # Drain before re-raising: cancel what never
-                    # started, wait out what is mid-build, so no worker
-                    # mutates results/metrics after the raise.
-                    for future in pending:
-                        future.cancel()
-                    if pending:
-                        wait(list(pending), timeout=_DRAIN_TIMEOUT_S)
-                    raise abort
+            if failure is None:
+                continue
+            failures.add(failure_record(
+                node, failure.error, failure.attempts, failure.elapsed_s,
+            ))
+            if self.on_error == "raise":
+                raise failure.error
+            stack = [node]
+            while stack:
+                current = stack.pop()
+                for child in sorted(children[current]):
+                    if child in quarantined or child == node:
+                        continue
+                    quarantined[child] = node
+                    if child in build_ids:
+                        failures.add(quarantine_record(child, node))
+                    stack.append(child)

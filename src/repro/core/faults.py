@@ -187,8 +187,8 @@ class FaultPlan:
 
     The plan is the single source of truth about what has fired:
     ``fired(site)`` and :attr:`log` expose the history, ``reset()``
-    rearms every counter.  Counter updates are lock-protected so the
-    executor's thread pool sees exact fail-once/fail-N semantics.
+    rearms every counter.  Counter updates are lock-protected so
+    callers on several threads see exact fail-once/fail-N semantics.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0):

@@ -8,18 +8,18 @@ Typical use::
     print(study.figure("fig3").text) # EP trend table
     results = study.run_all()        # every artifact
 
-    # parallel + cached, with per-artifact run metrics:
-    report = study.run_all(jobs=4, cache=ArtifactCache(), report=True)
+    # cached, with per-artifact run metrics:
+    report = study.run_all(cache=ArtifactCache(), report=True)
     print(report.render())
 
 Each :class:`FigureResult` carries the underlying data (``series``, a
 plain dict of labeled values or point lists) and a terminal rendering
 (``text``), so the benchmark harness and the examples share one code
 path with the tests.  ``run_all`` delegates to the execution engine in
-:mod:`repro.core.executor`, which schedules builds topologically
-(shared sweep resources are computed once), optionally consults the
-content-addressed cache in :mod:`repro.core.cache`, and times every
-build.
+:mod:`repro.core.executor`, which walks the builds in topological
+order (shared sweep resources are computed once), optionally consults
+the content-addressed cache in :mod:`repro.core.cache`, and times
+every build.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ class Study:
         self.seed = seed
         self._corpus = corpus if corpus is not None else generate_corpus(seed)
         self._sweeps: Dict[int, SweepResult] = {}
+        # Two threads can reach _sweep at once: the serve daemon's
+        # executor threads share one memoized Study per seed, and a
+        # ``resource.sweep:N`` attempt that overran its timeout keeps
+        # running in the background while its retry starts.  One lock
+        # per sweep keeps each sweep computed once.
         self._sweep_locks: Dict[int, threading.Lock] = {
             number: threading.Lock() for number in TESTBED
         }
@@ -147,9 +152,8 @@ class Study:
     ) -> Union[Dict[str, FigureResult], "RunReport"]:
         """Regenerate every artifact, in paper order.
 
-        ``jobs`` widens the engine's thread pool (1 = serial; parallel
-        runs produce identical results).  ``cache`` selects the
-        content-addressed artifact cache: pass an
+        The executor is serial, so ``jobs`` must be 1.  ``cache``
+        selects the content-addressed artifact cache: pass an
         :class:`~repro.core.cache.ArtifactCache` to use a specific
         store, ``True`` for the default store, and ``False``/``None``
         to disable caching.  With ``report=True`` the full
@@ -170,9 +174,13 @@ class Study:
         """
         from repro.core.executor import ArtifactExecutor
 
+        # ROADMAP item 4's benchmark change deletes jobs with BUILD_JOBS.
+        if jobs != 1:
+            raise ValueError(
+                f"jobs must be 1, got {jobs}: the artifact executor is serial"
+            )
         run_report = ArtifactExecutor(
             self,
-            jobs=jobs,
             cache=cache,
             on_error=on_error,
             retry=retry,

@@ -164,7 +164,7 @@ class TestProvenance:
     def test_envelope_serializes(self, context):
         document = json.loads(execute(StatsQuery(), context).to_json())
         assert document["provenance"]["engine_version"] == ENGINE_VERSION
-        assert document["provenance"]["api_version"] == API_VERSION == "3"
+        assert document["provenance"]["api_version"] == API_VERSION == "4"
 
 
 class TestCohortMemo:

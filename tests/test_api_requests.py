@@ -179,6 +179,10 @@ class TestWireForm:
         with pytest.raises(ValueError, match="unknown field"):
             request_from_dict({"family": "stats", "metricc": "ep"})
 
+    def test_run_all_has_no_jobs_field(self):
+        with pytest.raises(ValueError, match=r"unknown field.*'jobs'"):
+            request_from_dict({"family": "run_all", "jobs": 2})
+
     def test_missing_family_rejected(self):
         with pytest.raises(ValueError):
             request_from_dict({"metric": "ep"})

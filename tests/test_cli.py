@@ -108,16 +108,15 @@ class TestRunAll:
         assert "wong.txt" in files
         assert len(files) == 36
 
-    def test_parallel_cached_run_with_report(self, tmp_path):
+    def test_cached_run_with_report(self, tmp_path):
         directory = tmp_path / "artifacts"
         cache_dir = tmp_path / "cache"
         argv = [
-            "--jobs", "4", "--cache-dir", str(cache_dir),
+            "--cache-dir", str(cache_dir),
             "run-all", "--output-dir", str(directory), "--report",
         ]
         code, cold = _run(argv)
         assert code == 0
-        assert "jobs=4" in cold
         assert "0 cached" in cold
         code, warm = _run(argv)
         assert code == 0
@@ -157,6 +156,21 @@ class TestRunAll:
         assert code == 0
         assert "wrote 36 of 36 artifacts" in output
         assert "ledger" not in output
+
+
+class TestJobsOption:
+    def test_documented_ensemble_jobs_runs(self):
+        code, output = _run(["ensemble", "--seeds", "1", "--jobs", "1"])
+        assert code == 0
+        assert "ensemble over 1 seeds (2016..2016)" in output
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "2", "run-all"],
+        ["run-all", "--jobs", "2"],
+    ])
+    def test_run_all_takes_no_jobs(self, tmp_path, argv):
+        with pytest.raises(SystemExit):
+            _run(argv + ["--output-dir", str(tmp_path)])
 
 
 class TestCacheCommand:

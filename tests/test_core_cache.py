@@ -40,9 +40,9 @@ class TestKeying:
 
 class TestWarmRuns:
     def test_warm_run_hits_for_every_artifact(self, cache, cached_study):
-        cold = cached_study.run_all(jobs=2, cache=cache, report=True)
+        cold = cached_study.run_all(cache=cache, report=True)
         assert cold.cache_hits == 0
-        warm = cached_study.run_all(jobs=2, cache=cache, report=True)
+        warm = cached_study.run_all(cache=cache, report=True)
         assert warm.cache_hits == len(FIGURE_IDS)
         assert warm.built == 0
         assert cache.stats.writes == len(FIGURE_IDS)
@@ -75,8 +75,8 @@ class TestInvalidation:
         study_a = Study(seed=2016)
         study_b = Study(seed=7)
         assert study_a.fingerprint != study_b.fingerprint
-        study_a.run_all(jobs=2, cache=cache)
-        report = study_b.run_all(jobs=2, cache=cache, report=True)
+        study_a.run_all(cache=cache)
+        report = study_b.run_all(cache=cache, report=True)
         assert report.cache_hits == 0
 
     def test_same_content_hits_across_instances(self, cache, corpus):
@@ -205,16 +205,14 @@ class TestConcurrentAccess:
         final = cache.get(fingerprint, "wong")
         assert final is not None and final.figure_id == "wong"
 
-    def test_corrupt_entry_rebuilds_exactly_once_under_parallelism(
-        self, cache, cached_study
-    ):
-        """A corrupted entry costs one rebuild even with a wide pool:
-        the scheduler probes once, evicts once, builds once."""
+    def test_corrupt_entry_rebuilds_exactly_once(self, cache, cached_study):
+        """A corrupted entry costs one rebuild: the executor probes
+        once, evicts once, builds once."""
         cached_study.run_all(cache=cache)
         path = cache.path_for(cached_study.fingerprint, "fig3")
         path.write_bytes(b"not a pickle")
         evictions_before = cache.stats.evictions
-        report = cached_study.run_all(cache=cache, jobs=4, report=True)
+        report = cached_study.run_all(cache=cache, report=True)
         assert report.built == 1
         assert report.metrics["fig3"].cache_hit is False
         assert cache.stats.evictions == evictions_before + 1

@@ -31,16 +31,15 @@ def _plan(*specs, seed=0):
 def baseline(corpus):
     """Fault-free reference results for the two artifact subsets."""
     study = Study(corpus=corpus)
-    report = ArtifactExecutor(study, jobs=1).run(SUBSET + SWEEP_SUBSET)
+    report = ArtifactExecutor(study).run(SUBSET + SWEEP_SUBSET)
     return report.results
 
 
 class TestRetryMasksTransients:
     """A fail-once transient plus one retry must be invisible."""
 
-    @pytest.mark.parametrize("jobs", [1, 4])
     def test_results_bit_identical_and_ledger_empty(
-        self, corpus, baseline, series_equal, jobs
+        self, corpus, baseline, series_equal
     ):
         study = Study(corpus=corpus)
         plan = _plan(
@@ -48,7 +47,7 @@ class TestRetryMasksTransients:
                       error="transient")
         )
         report = ArtifactExecutor(
-            study, jobs=jobs, on_error="isolate",
+            study, on_error="isolate",
             retry=RetryPolicy(attempts=2, base_delay_s=0.001),
             faults=plan,
         ).run(SUBSET)
@@ -65,7 +64,7 @@ class TestRetryMasksTransients:
         study = Study(corpus=corpus)
         plan = _plan(FaultSpec(site="builder.fig5"))
         report = ArtifactExecutor(
-            study, jobs=1, on_error="isolate", faults=plan
+            study, on_error="isolate", faults=plan
         ).run(SUBSET)
         assert report.failures.failed_ids == ("fig5",)
         assert not report.ok
@@ -76,7 +75,7 @@ class TestRetryMasksTransients:
             FaultSpec(site="builder.fig5", mode="fail", error="transient")
         )
         report = ArtifactExecutor(
-            study, jobs=1, on_error="isolate",
+            study, on_error="isolate",
             retry=RetryPolicy(attempts=3, base_delay_s=0.0),
             faults=plan,
         ).run(SUBSET)
@@ -91,7 +90,7 @@ class TestIsolation:
     ):
         study = Study(corpus=corpus)
         report = ArtifactExecutor(
-            study, jobs=4, on_error="isolate",
+            study, on_error="isolate",
             faults=_plan(
                 FaultSpec(site="builder.fig5", mode="fail", error="build")
             ),
@@ -109,11 +108,10 @@ class TestIsolation:
         assert record.error_type == "BuildError"
         assert record.taxonomy == "build"
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_resource_failure_quarantines_dependents(self, corpus, jobs):
+    def test_resource_failure_quarantines_dependents(self, corpus):
         study = Study(corpus=corpus)
         report = ArtifactExecutor(
-            study, jobs=jobs, on_error="isolate",
+            study, on_error="isolate",
             faults=_plan(
                 FaultSpec(site="resource.sweep:4", mode="fail",
                           error="transient")
@@ -125,20 +123,18 @@ class TestIsolation:
         assert sorted(report.results) == ["fig18"]
         assert report.quarantined == {"fig20": "sweep:4", "fig21": "sweep:4"}
 
-    def test_ledger_is_reproducible_across_runs_and_jobs(self, corpus):
-        def ledger(jobs):
+    def test_ledger_is_reproducible_across_runs(self, corpus):
+        def ledger():
             study = Study(corpus=corpus)
             return ArtifactExecutor(
-                study, jobs=jobs, on_error="isolate",
+                study, on_error="isolate",
                 faults=_plan(
                     FaultSpec(site="resource.sweep:4", mode="fail",
                               error="transient")
                 ),
             ).run(SWEEP_SUBSET).failures.signature()
 
-        first = ledger(jobs=1)
-        assert first == ledger(jobs=1)
-        assert first == ledger(jobs=4)
+        assert ledger() == ledger()
 
     def test_invalid_on_error_rejected(self, corpus):
         with pytest.raises(ValueError, match="on_error"):
@@ -157,69 +153,30 @@ class TestIsolation:
 
 
 class TestRaiseMode:
-    def test_serial_failure_is_recorded_before_the_raise(self, corpus):
-        """Regression: the serial path used to raise without appending
-        to the errors list, unlike the parallel path."""
+    def test_failure_is_recorded_before_the_raise(self, corpus):
+        """The ledger holds the failure even when raise mode aborts."""
         study = Study(corpus=corpus)
         executor = ArtifactExecutor(
-            study, jobs=1,
+            study,
             faults=_plan(
                 FaultSpec(site="builder.fig3", mode="fail", error="build")
             ),
         )
-        errors, ledger = [], FailureLedger()
+        ledger = FailureLedger()
         with pytest.raises(BuildError):
-            executor._build(
-                [REGISTRY["fig3"]], "", {}, {}, {}, errors, ledger
-            )
-        assert errors == ["fig3: BuildError('injected build fault at "
-                          "builder.fig3')"]
+            executor._build([REGISTRY["fig3"]], "", {}, {}, {}, ledger)
         assert ledger.root_ids == ("fig3",)
+        (record,) = list(ledger)
+        assert record.error_type == "BuildError"
 
-    def test_parallel_abort_drains_inflight_builds(self, corpus, monkeypatch):
-        """Regression: abort used to cancel and re-raise immediately,
-        leaving running futures free to mutate shared dicts later."""
-        import repro.core.study as study_module
-
-        study = Study(corpus=corpus)
-        real = study_module.Study._fig03
-        release = {"at": time.monotonic() + 0.6}
-
-        def slow_fig3(self):
-            while time.monotonic() < release["at"]:
-                time.sleep(0.01)
-            return real(self)
-
-        monkeypatch.setattr(study_module.Study, "_fig03", slow_fig3)
-        executor = ArtifactExecutor(
-            study, jobs=2,
-            faults=_plan(
-                FaultSpec(site="builder.eq2", mode="fail", error="build")
-            ),
-        )
-        results, errors = {}, []
-        with pytest.raises(BuildError):
-            executor._build(
-                [REGISTRY["fig3"], REGISTRY["eq2"]], "", results, {}, {},
-                errors, FailureLedger(),
-            )
-        # The slow in-flight fig3 build was drained to completion (its
-        # result landed) before the abort propagated.
-        assert "fig3" in results
-        assert errors == ["eq2: BuildError('injected build fault at "
-                          "builder.eq2')"]
-
-    def test_parallel_raise_matches_serial(self, corpus):
-        for jobs in (1, 4):
-            study = Study(corpus=corpus)
-            with pytest.raises(BuildError):
-                ArtifactExecutor(
-                    study, jobs=jobs,
-                    faults=_plan(
-                        FaultSpec(site="builder.fig5", mode="fail",
-                                  error="build")
-                    ),
-                ).run(SUBSET)
+    def test_run_raises_the_builder_error(self, corpus):
+        with pytest.raises(BuildError, match="builder.fig5"):
+            ArtifactExecutor(
+                Study(corpus=corpus),
+                faults=_plan(
+                    FaultSpec(site="builder.fig5", mode="fail", error="build")
+                ),
+            ).run(SUBSET)
 
 
 class TestTimeouts:
@@ -234,7 +191,7 @@ class TestTimeouts:
         monkeypatch.setattr(study_module.Study, "_fig05", stuck)
         study = Study(corpus=corpus)
         report = ArtifactExecutor(
-            study, jobs=1, on_error="isolate", timeout_s=0.1
+            study, on_error="isolate", timeout_s=0.1
         ).run(["fig5", "eq2"])
         (record,) = list(report.failures)
         assert record.artifact_id == "fig5"
@@ -253,13 +210,13 @@ class TestCacheDegradation:
     ):
         study = Study(corpus=corpus)
         cache = ArtifactCache(tmp_path / "store")
-        ArtifactExecutor(study, jobs=1, cache=cache).run(SUBSET)
+        ArtifactExecutor(study, cache=cache).run(SUBSET)
         plan = _plan(
             FaultSpec(site="cache.read", mode="fail-n", times=2,
                       error="cache")
         )
         cache.faults = plan
-        report = ArtifactExecutor(study, jobs=1, cache=cache).run(SUBSET)
+        report = ArtifactExecutor(study, cache=cache).run(SUBSET)
         assert report.ok
         assert plan.fired("cache.read") == 2
         # Two probes failed over to rebuilds; the rest hit the store.
@@ -280,7 +237,7 @@ class TestCacheDegradation:
             ),
         )
         with pytest.warns(RuntimeWarning, match="disabled after"):
-            report = ArtifactExecutor(study, jobs=1, cache=cache).run(SUBSET)
+            report = ArtifactExecutor(study, cache=cache).run(SUBSET)
         assert report.ok  # the run itself never noticed
         assert cache.disabled
         assert cache.stats.write_failures >= MAX_WRITE_FAILURES
@@ -289,11 +246,11 @@ class TestCacheDegradation:
     def test_corrupt_read_evicts_and_rebuilds(self, corpus, tmp_path):
         study = Study(corpus=corpus)
         cache = ArtifactCache(tmp_path / "store")
-        ArtifactExecutor(study, jobs=1, cache=cache).run(["fig3"])
+        ArtifactExecutor(study, cache=cache).run(["fig3"])
         cache.faults = _plan(
             FaultSpec(site="cache.read", mode="corrupt", times=1)
         )
-        report = ArtifactExecutor(study, jobs=1, cache=cache).run(["fig3"])
+        report = ArtifactExecutor(study, cache=cache).run(["fig3"])
         assert report.ok
         assert report.cache_hits == 0
         assert cache.stats.evictions == 1
