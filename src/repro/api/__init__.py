@@ -13,6 +13,12 @@ Requests carry explicit ``seed`` and ``format`` fields; results carry
 the structured payload, the terminal text rendering, and a provenance
 block (fingerprint, spec key, engine version, the fleet engine that
 served the query, cache hit, wall time).
+
+A call without a ``context`` runs in a fresh
+:class:`~repro.api.dispatch.QueryContext`, which attaches the corpus
+the process already generated for that seed: each seed's corpus is
+generated once per process.  ``Study(seed=...)`` still generates its
+own.
 """
 
 from repro.api.dispatch import (

@@ -17,6 +17,7 @@ per-cohort memos are a bounded LRU.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -51,6 +52,7 @@ from repro.core.cache import (
     ArtifactCache,
     cache_key,
 )
+from repro.dataset.synthesis import generate_corpus
 
 
 @dataclass
@@ -106,6 +108,37 @@ MAX_COHORTS = 64
 #: too.  A pinned seed (see :class:`QueryContext`) is never evicted.
 MAX_SEEDS = 4
 
+#: The process's generated corpora, seed -> ``Corpus``: a corpus is a
+#: pure function of its seed, so every context attaches the one object
+#: (and its memoized fingerprint and column store) instead of
+#: regenerating it.  The same :data:`MAX_SEEDS` LRU bounds it.  Only
+#: :func:`shared_corpus` writes it; an adopted study's corpus never
+#: enters it.
+_CORPORA: "OrderedDict[int, Any]" = OrderedDict()
+_CORPORA_LOCK = threading.Lock()
+
+
+def _reset_corpora_lock() -> None:
+    """A forked child starts with the store lock free: a thread that
+    held it in the parent does not exist in the child."""
+    global _CORPORA_LOCK
+    _CORPORA_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_corpora_lock)
+
+
+def shared_corpus(seed: int) -> Any:
+    """The process's corpus for ``seed``, generated on first use."""
+    with _CORPORA_LOCK:
+        if seed in _CORPORA:
+            _CORPORA.move_to_end(seed)
+        else:
+            _CORPORA[seed] = generate_corpus(seed)
+            while len(_CORPORA) > MAX_SEEDS:
+                _CORPORA.popitem(last=False)
+        return _CORPORA[seed]
+
 
 class QueryContext:
     """Warm, shareable state for executing queries.
@@ -130,6 +163,12 @@ class QueryContext:
     is warmed for -- and the seed of an adopted study are pinned: never
     evicted, so a warm corpus is never rebuilt and an adopted corpus
     never replaced by a generated one.
+
+    A fresh context does not regenerate a corpus: it attaches the
+    process's corpus for the seed (:func:`shared_corpus`), so it also
+    shares that corpus's memoized fingerprint and column store.  An
+    adopted study's corpus stays in its own context, and
+    ``Study(seed=...)`` still generates its own corpus.
     """
 
     def __init__(
@@ -170,13 +209,12 @@ class QueryContext:
                 self._evict_cohort(cohort)
 
     def corpus(self, seed: int) -> Any:
-        """The calibrated corpus for ``seed`` (memoized)."""
+        """The calibrated corpus for ``seed``: an adopted study's, else
+        the process's (see :func:`shared_corpus`)."""
         with self._lock:
             self._touch_seed(seed)
             if seed not in self._corpora:
-                from repro.dataset.synthesis import generate_corpus
-
-                self._corpora[seed] = generate_corpus(seed)
+                self._corpora[seed] = shared_corpus(seed)
             return self._corpora[seed]
 
     def corpus_slice(
@@ -367,6 +405,10 @@ def execute(
     are persisted as pickled :class:`QueryResult` envelopes; artifact
     results are persisted as plain ``FigureResult`` objects so they
     share entries with ``Study.run_all`` warm caches.
+
+    Without a ``context`` the request runs in a fresh one, which
+    attaches the process's corpus for the seed (generated on the first
+    such call, see :func:`shared_corpus`) rather than regenerating it.
     """
     if context is None:
         context = QueryContext(cache=cache)

@@ -222,6 +222,10 @@ class EngineWorkerPool:
     def _spawn(self, index: int, mp: Any = None) -> _Worker:
         mp = mp if mp is not None else self._mp
         parent_conn, child_conn = mp.Pipe(duplex=True)
+        # a forked child also inherits the process's corpus store
+        # (api.dispatch.shared_corpus); its lock is reset in the child
+        # by an os.register_at_fork hook, so a fork while another
+        # thread held it cannot park the worker
         warm = self.context if mp.get_start_method() == "fork" else None
         process = mp.Process(
             target=_worker_main,

@@ -1,6 +1,10 @@
 """The dispatch table: every family, provenance, caching, parity."""
 
 import json
+import os
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +16,21 @@ from repro.api import (
     CapQuery,
     CdfQuery,
     DISPATCH,
+    EnsembleQuery,
     GenerateQuery,
     GroupQuery,
     ListArtifactsQuery,
     PlacementQuery,
     QueryContext,
     ReplayQuery,
+    ReportQuery,
+    RunAllQuery,
     SweepQuery,
     StatsQuery,
     ValidateQuery,
     execute,
 )
+from repro.api import dispatch
 from repro.api.dispatch import MAX_COHORTS, MAX_SEEDS
 from repro.api.requests import POLICIES, REQUEST_TYPES
 from repro.api.result import API_VERSION
@@ -30,7 +38,9 @@ from repro.cluster import engines
 from repro.cluster.batch_placement import BatchPlacementEngine
 from repro.cluster.sharded import ShardedFleetEngine
 from repro.core.cache import ENGINE_VERSION, ArtifactCache
+from repro.core import pipeline
 from repro.core.study import Study
+from repro.dataset.fingerprint import corpus_fingerprint
 
 #: engine name -> a stand-in for ``fleet_engine`` that forces it
 FORCED_ENGINES = {
@@ -237,7 +247,9 @@ class TestSeedMemos:
         assert 2016 in context._corpora
         assert self.seeds_held(context) <= set(context._seeds)
         assert 1 not in self.seeds_held(context)
-        # The evicted seed regenerates and answers byte for byte alike.
+        # The evicted seed comes back -- attached from the process's
+        # corpus store, or regenerated once it has left that too -- and
+        # answers byte for byte alike.
         after = execute(first, context)
         assert payload_json(after) == payload_json(before)
         assert after.text == before.text
@@ -250,6 +262,146 @@ class TestSeedMemos:
             execute(StatsQuery(metric="ep", seed=seed), context)
         assert context.corpus(study.seed) is study.corpus
         assert len(context._corpora) <= MAX_SEEDS
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """An empty process corpus store; the seeds dispatch generates."""
+    seeds = []
+    generate = dispatch.generate_corpus
+
+    def counted(seed):
+        seeds.append(seed)
+        return generate(seed)
+
+    monkeypatch.setattr(dispatch, "_CORPORA", OrderedDict())
+    monkeypatch.setattr(dispatch, "generate_corpus", counted)
+    return seeds
+
+
+class TestCorpusStore:
+    """Each seed's corpus is generated once per process and shared."""
+
+    def test_fresh_contexts_generate_once(self, generations):
+        corpora = [QueryContext().corpus(7) for _ in range(3)]
+        for _ in range(3):
+            execute(StatsQuery(metric="ep", seed=7))
+            execute(ReplayQuery(seed=7, servers=30, steps=8))
+        assert generations == [7]
+        assert all(corpus is corpora[0] for corpus in corpora)
+        assert QueryContext().corpus(7) is corpora[0]
+        # so the memoized fingerprint and column store are shared too
+        assert QueryContext().corpus(7).columns() is corpora[0].columns()
+
+    def test_oldest_seed_regenerates_alike(self, generations):
+        first = CdfQuery(metric="ep", seed=1, lo=0.6, hi=0.7)
+        before = execute(first)
+        for seed in range(2, 2 + MAX_SEEDS):
+            execute(StatsQuery(metric="ep", seed=seed))
+        assert list(dispatch._CORPORA) == list(range(2, 2 + MAX_SEEDS))
+        after = execute(first)
+        assert generations.count(1) == 2
+        assert len(dispatch._CORPORA) == MAX_SEEDS
+        assert payload_json(after) == payload_json(before)
+        assert after.text == before.text
+        assert after.provenance.spec_key == before.provenance.spec_key
+
+    def test_recent_seed_stays(self, generations):
+        for seed in range(1, 1 + 2 * MAX_SEEDS):
+            QueryContext().corpus(seed)
+            QueryContext().corpus(1)  # touched every round: never the oldest
+        assert generations.count(1) == 1
+
+    def test_adopted_corpus_never_enters_the_store(self, generations, study):
+        custom = Study(corpus=study.corpus.by_hw_year_range(2012, 2016), seed=99)
+        context = QueryContext()
+        context.adopt_study(custom)
+        adopted = execute(StatsQuery(seed=99), context)
+        assert adopted.payload["count"] == len(custom.corpus) < 477
+        assert 99 not in dispatch._CORPORA and generations == []
+        assert execute(StatsQuery(seed=99)).payload["count"] == 477
+        assert dispatch._CORPORA[99] is not custom.corpus
+
+    def test_concurrent_fresh_contexts_generate_once(self, generations):
+        workers = 4  # more threads than the cores of a small host
+        barrier = threading.Barrier(workers)
+        got = []
+
+        def attach():
+            barrier.wait(timeout=10)
+            got.append(QueryContext().corpus(5))
+
+        threads = [threading.Thread(target=attach) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert generations == [5]
+        assert len(got) == workers and all(corpus is got[0] for corpus in got)
+
+    def test_forked_child_finds_the_store_lock_free(self):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with dispatch._CORPORA_LOCK:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            pid = os.fork()
+            if pid == 0:  # the child: the holding thread is not here
+                os._exit(0 if dispatch._CORPORA_LOCK.acquire(timeout=5) else 1)
+            _, status = os.waitpid(pid, 0)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestSharedCorpusIsReadOnly:
+    """No family edits the records of the corpus every context shares."""
+
+    def test_every_family_leaves_the_records_alone(
+        self, generations, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(pipeline, "RANGE_SEEDS", (2016, 2017))
+        corpus = QueryContext().corpus(2016)
+        memoized = corpus.fingerprint()
+        csv = str(tmp_path / "corpus.csv")
+        requests = [
+            ListArtifactsQuery(),
+            ArtifactQuery(artifact_id="fig3"),
+            StatsQuery(metric="ep", hw_year_min=2010),
+            CdfQuery(metric="score", lo=0.0, hi=5_000.0),
+            GroupQuery(by="family"),
+            PlacementQuery(servers=30),
+            CapQuery(power_cap_w=5000.0, servers=30),
+            ReplayQuery(servers=30, steps=8),
+            SweepQuery(server=2),
+            EnsembleQuery(seeds=2),
+            GenerateQuery(out=csv),
+            ValidateQuery(path=csv),
+            ReportQuery(out=str(tmp_path / "EXPERIMENTS.md")),
+            RunAllQuery(output_dir=str(tmp_path / "artifacts")),
+            CacheQuery(action="stats", cache_dir=str(tmp_path / "store")),
+        ]
+        assert {type(request) for request in requests} == set(REQUEST_TYPES)
+        for request in requests:
+            assert execute(request).exit_code == 0
+        assert QueryContext().corpus(2016) is corpus
+        assert generations == [2016]
+        assert corpus.fingerprint() == memoized
+        assert corpus_fingerprint(corpus.results()) == memoized
 
 
 class TestCdfMemo:

@@ -80,6 +80,13 @@ class TestVectorizedEqualsReference:
                 record.active_idle_power_w,
             )
 
+    def test_each_generation_is_independent(self):
+        # The parity tests above compare two generations; a memoized
+        # generator would hand both sides one object and prove nothing.
+        first, second = generate_corpus(3), generate_corpus(3)
+        assert first is not second
+        assert all(a is not b for a, b in zip(first, second))
+
     def test_fingerprints_match_too(self, corpus):
         assert generate_corpus_reference(2016).fingerprint() == corpus.fingerprint()
 
