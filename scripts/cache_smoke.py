@@ -7,6 +7,9 @@ from the cache), then asserts the engine contract:
   than the cold run;
 * cached results equal built results artifact-by-artifact.
 
+It also prints the cold run's slowest builds, so a log shows where cold
+time goes.
+
 Exits non-zero on any violation.  Usage::
 
     PYTHONPATH=src python scripts/cache_smoke.py [cache_dir]
@@ -49,6 +52,14 @@ def main(argv) -> int:
     warm = study.run_all(cache=cache, report=True)
 
     print(warm.render())
+    slowest = sorted(cold.metrics.values(), key=lambda metric: -metric.seconds)
+    print(
+        "slowest cold builds: "
+        + ", ".join(
+            f"{metric.artifact_id} {metric.seconds * 1000.0:.1f} ms"
+            for metric in slowest[:5]
+        )
+    )
     print(
         f"cold {cold.total_seconds * 1000.0:.1f} ms "
         f"({cold.built} built) / warm {warm.total_seconds * 1000.0:.1f} ms "

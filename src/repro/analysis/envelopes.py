@@ -42,21 +42,36 @@ class CurveEnvelope:
         )
 
 
+def _aligned_row(result: SpecPowerResult, kind: str) -> List[float]:
+    """One server's normalized power (or relative-EE) curve."""
+    loads, powers = result.curve()
+    if kind == "power":
+        peak = powers[-1]
+        return [p / peak for p in powers]
+    return list(ee_relative_curve(loads, powers))
+
+
 def _aligned_curves(corpus: Corpus, kind: str) -> Tuple[np.ndarray, List[str]]:
-    """(matrix, ids): each row is one server's normalized curve."""
-    rows = []
-    ids = []
-    for result in corpus:
-        loads, powers = result.curve()
-        if kind == "power":
-            peak = powers[-1]
-            rows.append([p / peak for p in powers])
-        elif kind == "ee":
-            rows.append(list(ee_relative_curve(loads, powers)))
-        else:
-            raise ValueError("kind must be 'power' or 'ee'")
-        ids.append(result.result_id)
-    return np.asarray(rows), ids
+    """(matrix, ids): each row is one server's normalized curve.
+
+    A corpus on one grid normalizes :meth:`~repro.dataset.corpus.Corpus.columns`'
+    power matrix in one array operation, with :func:`ee_relative_curve`'s
+    own elementwise arithmetic, so every entry equals :func:`_aligned_row`'s.
+    A corpus on mixed grids (or an empty one) builds the rows per record.
+    """
+    if kind not in ("power", "ee"):
+        raise ValueError("kind must be 'power' or 'ee'")
+    ids = [result.result_id for result in corpus]
+    columns = corpus.columns()
+    try:
+        grid, power = columns.load_grid(), columns.power_matrix()
+    except ValueError:
+        return np.asarray([_aligned_row(result, kind) for result in corpus]), ids
+    norm = power / power[:, -1:]
+    if kind == "power":
+        return norm, ids
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norm > 0.0, grid / norm, 0.0), ids
 
 
 def curve_envelope(corpus: Corpus, kind: str = "power") -> CurveEnvelope:

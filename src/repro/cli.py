@@ -41,6 +41,13 @@ The global ``--cache`` option (with optional ``--cache-dir DIR``)
 enables the content-addressed artifact cache (default store:
 ``.repro_cache/``), so e.g. ``python -m repro --cache run-all``
 builds once and a repeat invocation is served from disk.
+
+Exit status: 0 on success; 1 when a command reports failures (a
+corpus with validation errors, an artifact ``run-all --on-error
+isolate`` quarantined, checker findings); 2 on a usage error; and 141
+(128 + SIGPIPE, what a shell reports for a tool that signal ended)
+when the reader of stdout closed the pipe early, as ``repro list |
+head -3`` may, in which case nothing is printed to stderr.
 """
 
 from __future__ import annotations
@@ -462,10 +469,28 @@ _COMMANDS = {
 }
 
 
+#: Exit status when stdout's reader closed the pipe (128 + SIGPIPE).
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     out = sys.stdout if out is None else out
     args = _build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args, out)
+        out.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # The interpreter flushes stdout again at exit; point it at
+            # devnull so that flush cannot raise a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(args, out) -> int:
     if args.command == "checks":
         return cmd_checks(args, out)
     cache = None

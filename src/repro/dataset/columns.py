@@ -31,14 +31,16 @@ stored fingerprint no longer matches the corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.dataset.schema import SpecPowerResult
 from repro.metrics.ep import _as_curve, energy_proportionality
 from repro.metrics.gap import low_utilization_gap, peak_gap, proportionality_gap
 from repro.metrics.linearity import energy_ratio, idle_to_peak_ratio, linear_deviation
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dataset.schema import SpecPowerResult
 
 #: name -> (dtype, attribute getter) for the per-record columns.
 _COLUMN_SPECS = {

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.dataset.columns import _matrix_metrics
 from repro.metrics.curves import (
     above_ideal_zone,
     first_crossing,
@@ -205,15 +206,17 @@ class SpecPowerResult:
 
         def compute():
             levels = self.sorted_levels()
-            rtol = 1e-6 if self.tie_peak_spots else 1e-3
             return peak_efficiency_spots(
                 [level.target_load for level in levels],
                 [level.ssj_ops for level in levels],
                 [level.average_power_w for level in levels],
-                rtol=rtol,
+                rtol=self._spot_rtol(),
             )
 
         return self._derive("spots", compute)
+
+    def _spot_rtol(self) -> float:
+        return 1e-6 if self.tie_peak_spots else 1e-3
 
     @property
     def primary_peak_spot(self) -> float:
@@ -268,28 +271,57 @@ def overall_scores(results: Sequence[SpecPowerResult]) -> np.ndarray:
     """Every record's :attr:`SpecPowerResult.overall_score`, memoized on each.
 
     One pass over (records x levels) columns gathered into ascending-load
-    order, whatever order each record lists its levels in.  The columns
-    are C-ordered, and a C-order row sum adds exactly what the one-record
-    property's 1-D sum adds, so every memoized float is the one the
-    property would derive.  The score's input checks hold by
-    construction: :class:`LoadLevel` rejects negative throughput and
-    non-positive power, and the record rejects non-positive idle power.
-    Records that differ in level count derive their own scores.
+    order, whatever order each record lists its levels in.  The same
+    pass primes each record's ``peak_ee`` and ``peak_ee_spots`` (from the
+    ``ops / power`` matrix, at the record's own tie tolerance) and, when
+    every record shares one grid, its ``ep`` and ``idle_fraction`` (from
+    :func:`repro.dataset.columns._matrix_metrics`).  The columns are
+    C-ordered, and a C-order row reduction adds (or compares) exactly
+    what the one-record property's 1-D reduction does, so every
+    memoized value is the one the property would derive.  The metrics'
+    input checks hold by construction: :class:`LoadLevel` rejects
+    negative throughput and non-positive power, and the record rejects
+    non-positive idle power.  Records that differ in level count derive
+    their own values, and a grid the metric family cannot take leaves
+    ``ep`` and ``idle_fraction`` to the properties.
     """
     if len({len(r.levels) for r in results}) != 1:
         return np.array([r.overall_score for r in results])
-    table = np.array(
-        [
-            [(level.target_load, level.ssj_ops, level.average_power_w) for level in r.levels]
-            for r in results
-        ]
+    levels = [level for r in results for level in r.levels]
+    shape = (len(results), len(results[0].levels))
+    loads, ops, watts = (
+        np.array(column, dtype=float).reshape(shape)
+        for column in (
+            [level.target_load for level in levels],
+            [level.ssj_ops for level in levels],
+            [level.average_power_w for level in levels],
+        )
     )
-    ascending = np.argsort(table[..., 0], axis=1, kind="stable")
-    ops, watts = (
-        np.take_along_axis(table[..., column], ascending, axis=1) for column in (1, 2)
+    ascending = np.argsort(loads, axis=1, kind="stable")
+    loads, ops, watts = (
+        np.take_along_axis(column, ascending, axis=1) for column in (loads, ops, watts)
     )
     idle_w = np.array([r.active_idle_power_w for r in results])
     scores = ops.sum(axis=1) / (watts.sum(axis=1) + idle_w)
-    for result, score in zip(results, scores.tolist()):
-        result._cache["score"] = score
+    efficiency = ops / watts
+    peak = efficiency.max(axis=1)
+    rtol = np.array([r._spot_rtol() for r in results])
+    rows, at = np.nonzero(efficiency >= (peak * (1.0 - rtol))[:, None])
+    spots: List[List[float]] = [[] for _ in results]
+    for row, load in zip(rows.tolist(), loads[rows, at].tolist()):
+        spots[row].append(load)
+    primed = {"score": scores.tolist(), "peak_ee": peak.tolist(), "spots": spots}
+    if (loads == loads[0]).all():
+        try:
+            metrics = _matrix_metrics(
+                np.concatenate(([0.0], loads[0])), np.column_stack((idle_w, watts))
+            )
+        except ValueError:  # e.g. no level inside a gap band
+            pass
+        else:
+            primed["ep"] = metrics.ep.tolist()
+            primed["idle"] = metrics.ipr.tolist()
+    for key, values in primed.items():
+        for result, value in zip(results, values):
+            result._cache[key] = value
     return scores

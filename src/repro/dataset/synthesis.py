@@ -748,7 +748,8 @@ def _enforce_ee_monotonicity(results: List[SpecPowerResult]) -> None:
     score below the previous year's, the year's best server is scaled up
     to restore the published monotone envelope (every other statistic
     is untouched).  Every score comes from one :func:`overall_scores`
-    pass, which also primes each record's score memo.
+    pass, which also primes each record's metric memos; a rescaled
+    record is primed again after its rescale.
     """
     scores = overall_scores(results)
     years = np.array([result.hw_year for result in results])
@@ -769,5 +770,6 @@ def _enforce_ee_monotonicity(results: List[SpecPowerResult]) -> None:
                 for level in result.levels
             ]
             result.invalidate_cache()
+            overall_scores([result])
             score = scores[best] = result.overall_score
         previous_max = score

@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, main
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(argv):
@@ -19,6 +25,51 @@ class TestList:
         assert code == 0
         for figure_id in ("fig1", "fig21", "table2", "eq2", "wong"):
             assert figure_id in output
+
+
+def _spawn_list(stdout):
+    """``python -m repro list`` writing to ``stdout``; stderr captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (_SRC, env.get("PYTHONPATH")) if part
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "list"],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+class TestClosedPipe:
+    def test_reader_closing_after_one_line_ends_quietly(self):
+        child = _spawn_list(subprocess.PIPE)
+        assert child.stdout.readline()
+        child.stdout.close()  # whether the child had written all is a race
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) in (0, EXIT_BROKEN_PIPE)
+        assert stderr == ""
+
+    def test_reader_gone_before_the_write_exits_141_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = _spawn_list(write_end)
+        finally:
+            os.close(write_end)
+        _out, stderr = child.communicate(timeout=60)
+        assert child.returncode == EXIT_BROKEN_PIPE == 141
+        assert stderr == ""
+
+    def test_broken_pipe_from_any_stream_is_the_pipe_exit(self):
+        class ClosesAfterOneLine(io.StringIO):
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        assert main(["list"], out=ClosesAfterOneLine()) == EXIT_BROKEN_PIPE
 
 
 class TestFigure:
